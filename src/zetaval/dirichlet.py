@@ -11,14 +11,15 @@ the standard complementary error function (2/sqrt(pi)) int_x^inf e^(-t^2) dt;
 the 2/pi prefactor sometimes seen for this formula fails the class-number
 cross-check, which the test suite demonstrates explicitly.
 
-E1 and erfc both use their (convergent) power series with an alternating-tail
-bound wherever the series is usable at all -- the working precision is raised
-by ~1.44x (resp. ~1.44x^2) bits to absorb the cancellation -- and switch to
-two-sided exponential sandwiches only far out, where the sandwich gap is
-negligible against e^(-x).  Cutting over at x = 1, as the plain formulas
-suggest, would leave enclosures about 1e-3 wide and could never certify
-8 digits; the series region therefore extends to x <= 34 (E1) and x <= 6
-(erfc).
+E1 and erfc both use their (convergent) power series wherever the series is
+usable at all, summed by the shared helper in ``functions`` with its
+alternating tail rule once the terms decrease (k > x for E1, k > x^2 for
+erfc).  The working precision is raised by ~1.44x (resp. ~1.44x^2) bits to
+absorb the cancellation.  Both switch to two-sided exponential sandwiches only
+far out, where the sandwich gap is negligible against e^(-x).  Cutting over at
+x = 1, as the plain formulas suggest, would leave enclosures about 1e-3 wide
+and could never certify 8 digits; the series region therefore extends to
+x <= 34 (E1) and x <= 6 (erfc).
 
 E1 enclosures bottom out near 1e-50 width: the Euler-Mascheroni constant is a
 stored 50-digit bracket.
@@ -26,6 +27,7 @@ stored 50-digit bracket.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import functions as fn
@@ -47,42 +49,23 @@ class L1Params:
     A: RealInterval
 
 
-def _mag_hi(t: RealInterval) -> rd.MPF:
-    return rd.abs_(t.hi if abs(t.hi[0]) >= abs(t.lo[0]) else t.lo)
-
-
 def _e1_series_point(v: rd.MPF, out_prec: int) -> RealInterval:
-    """-gamma - ln x + sum (-1)^(k+1) x^k/(k k!), tail <= first omitted term."""
+    """-gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k/(k k!), alternating tail."""
     xf = rd.to_float(v, rd.CEIL)
     boost = int(1.45 * xf) + 48
     ctx = PrecisionContext(out_prec + boost)
     x = RealInterval(v, v)
-    p = ctx.one()  # x^k / k!
-    total = ctx.zero()
-    k = 0
-    cut = -(ctx.prec + 8)
-    while True:
-        k += 1
-        p = ctx.div(ctx.mul(p, x), ctx.interval(k))
-        term = ctx.div(p, ctx.interval(k))
-        total = ctx.add(total, term) if k % 2 == 1 else ctx.sub(total, term)
-        if k > xf and fn._term_small(term, cut):
-            break
-        if k > 64 * out_prec:
-            raise RuntimeError("E1 series failed to converge")
-    nxt = ctx.div(ctx.div(ctx.mul(p, x), ctx.interval(k + 1)), ctx.interval(k + 1))
-    total = ctx.widen(total, _mag_hi(nxt))
-    result = ctx.sub(ctx.sub(total, fn.euler_gamma(ctx)), fn.log(x_iv(v, ctx), ctx))
-    return result
-
-
-def x_iv(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
-    return RealInterval(v, v)
+    # p_k = (-1)^(k+1) x^k / k!, term_k = p_k / k; terms shrink once k > x
+    powers = fn._power_terms(ctx, ctx.neg(ctx.one()), ctx.neg(x), itertools.count(1))
+    terms = (ctx.div(p, ctx.interval(k)) for k, p in enumerate(powers, 1))
+    total = fn._sum_series(ctx, ctx.zero(), terms, stop_after=True, min_terms=xf,
+                           max_terms=64 * out_prec)
+    return ctx.sub(ctx.sub(total, fn.euler_gamma(ctx)), fn.log(x, ctx))
 
 
 def _e1_sandwich_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
     """e^-x (1/2) ln(1 + 2/x) <= E1(x) <= e^-x ln(1 + 1/x) for x > 0."""
-    x = x_iv(v, ctx)
+    x = RealInterval(v, v)
     decay = fn.exp(ctx.neg(x), ctx)
     upper = ctx.mul(decay, fn.log(ctx.add(ctx.one(), ctx.div(ctx.one(), x)), ctx))
     two_over = ctx.div(ctx.interval(2), x)
@@ -117,30 +100,18 @@ def _erfc_series_point(v: rd.MPF, out_prec: int) -> RealInterval:
     xf = rd.to_float(v, rd.CEIL)
     boost = int(1.45 * xf * xf) + 48
     ctx = PrecisionContext(out_prec + boost)
-    x = x_iv(v, ctx)
-    x2 = ctx.sq(x)
-    p = x  # x^(2k+1) / k!
-    total = ctx.zero()
-    k = 0
-    cut = -(ctx.prec + 8)
-    while True:
-        term = ctx.div(p, ctx.interval(2 * k + 1))
-        total = ctx.add(total, term) if k % 2 == 0 else ctx.sub(total, term)
-        k += 1
-        p = ctx.div(ctx.mul(p, x2), ctx.interval(k))
-        nxt = ctx.div(p, ctx.interval(2 * k + 1))
-        if k > xf * xf and fn._term_small(nxt, cut):
-            total = ctx.widen(total, _mag_hi(nxt))
-            break
-        if k > 64 * out_prec:
-            raise RuntimeError("erfc series failed to converge")
+    x = RealInterval(v, v)
+    # p_k = (-1)^k x^(2k+1) / k!, term_k = p_k / (2k+1); terms shrink once k > x^2
+    powers = itertools.chain([x], fn._power_terms(ctx, x, ctx.neg(ctx.sq(x)), itertools.count(1)))
+    terms = (ctx.div(p, ctx.interval(2 * k + 1)) for k, p in enumerate(powers))
+    total = fn._sum_series(ctx, ctx.zero(), terms, min_terms=xf * xf, max_terms=64 * out_prec)
     return ctx.sub(ctx.one(), ctx.mul(_two_over_sqrt_pi(ctx), total))
 
 
 def _erfc_sandwich_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
     """(2/sqrt(pi)) e^(-x^2)/(x + sqrt(x^2 + 2)) <= erfc(x) <=
     (2/sqrt(pi)) e^(-x^2)/(x + sqrt(x^2 + 4/pi)) for x > 0."""
-    x = x_iv(v, ctx)
+    x = RealInterval(v, v)
     x2 = ctx.sq(x)
     front = ctx.mul(_two_over_sqrt_pi(ctx), fn.exp(ctx.neg(x2), ctx))
     lo_den = ctx.add(x, ctx.sqrt(ctx.add(x2, ctx.interval(2))))
@@ -208,7 +179,6 @@ def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
         value=ComplexBox(value, zero),
         params=L1Params(m=m, A=A),
         remainder_radius=radius,
-        certified=True,
         raw_value=ComplexBox(raw, zero),
     )
 
@@ -253,6 +223,5 @@ def l_truncated(
         value=ctx.cwiden(total, radius),
         params={"N": N, "modulus": chi.modulus},
         remainder_radius=radius,
-        certified=True,
         raw_value=total,
     )

@@ -191,7 +191,6 @@ def local_zeta(
         value=value,
         params={"p": p, "t_p": info.t_p},
         remainder_radius=rd.ZERO,
-        certified=True,
         raw_value=value,
     )
 
@@ -253,6 +252,5 @@ def hasse_weil_partial(
         value=value,
         params={"primes_to": primes_to, "log_tail_bound": rd.to_float(b_up, rd.CEIL)},
         remainder_radius=b_up,
-        certified=True,
         raw_value=acc,
     )

@@ -1,20 +1,36 @@
 """Validated enclosures of elementary functions and fundamental constants.
 
 Everything here is built from the interval ring operations plus explicit
-truncation-error bounds, so the enclosures are rigorous end to end:
+truncation-error bounds, so the enclosures are rigorous end to end.
 
-* ``pi``/``ln2``: Machin / atanh series of rationals; both alternate or are
-  sandwiched, and the tail is bounded by a closed form added outward.
-* ``exp``: argument halved until |r| <= 1/2, Taylor series with remainder
-  |R_n| <= 2|r|**(n+1)/(n+1)!, then repeated interval squaring.
+Every truncated series, here and in ``dirichlet``, runs through one summation
+helper, ``_sum_series``.  A caller supplies only its term recurrence, as an
+iterator of signed terms that computes each term once, and picks one of three
+tail rules; the helper adds terms until one drops below 2**-(prec+8) and then
+widens the sum outward by the tail:
+
+* alternating: |first omitted term|, valid once the terms decrease in
+  magnitude (the caller's ``min_terms`` says from where);
+* geometric: |first omitted term| * c, with c >= 1/(1 - q) for a term ratio
+  q (9/8 for ln2, upper side only since its terms are positive; 33/32 for
+  log);
+* ratio: |last added term| / (n+1) after n terms, exp's Taylor remainder
+  for |r| <= 1/2.
+
+The series:
+
+* ``pi``/``ln2``: Machin's atan(1/5), atan(1/239) and 2 atanh(1/3), all
+  series of rationals.
+* ``exp``: argument halved until |r| <= 1/2, Taylor series, then repeated
+  interval squaring.
 * ``log``: mantissa reduction to u in [~0.70, ~1.42), atanh series in
-  z = (u-1)/(u+1) with geometric tail bound, plus n*ln2.
+  z = (u-1)/(u+1), plus n*ln2.
 * ``sin``/``cos``: reduction mod pi/2 with an enclosed pi, alternating Taylor
-  series whose remainder is at most the first omitted term for |r| <= 1.
+  series for |r| <= 1.
 * ``atan``: halving transform t = x/(1+sqrt(1+x^2)) until |x| <= 1/4, then the
-  alternating Maclaurin series, first-omitted-term remainder.
-* ``euler_gamma``: 50 truncated decimal digits as an exact rational bracket,
-  widened one ulp outward per side.
+  alternating Maclaurin series.
+* ``euler_gamma``: no series; 50 truncated decimal digits as an exact
+  rational bracket, widened one ulp outward per side.
 
 Every function evaluates internally with guard bits and rounds outward into
 the caller's working precision, so point arguments come back with widths of a
@@ -25,6 +41,8 @@ nest under refinement.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from . import rounding as rd
@@ -54,17 +72,86 @@ def _final(ctx: PrecisionContext, x: RealInterval) -> RealInterval:
     )
 
 
-def _widen_upper(ctx: PrecisionContext, x: RealInterval, bound: rd.MPF) -> RealInterval:
-    return ctx.widen(x, bound)
+def _magnitude(t: RealInterval) -> rd.MPF:
+    """Upper bound for |x| over x in t: the larger of |lo| and |hi|."""
+    a, b = rd.abs_(t.lo), rd.abs_(t.hi)
+    return a if rd.cmp(a, b) >= 0 else b
 
 
-def _term_small(t: RealInterval, cut_exp: int) -> bool:
-    """True once every point of t has magnitude below 2**cut_exp."""
-    m = max(abs(t.lo[0]), abs(t.hi[0]))
-    if m == 0:
-        return True
-    mag = (m, t.lo[1] if abs(t.lo[0]) >= abs(t.hi[0]) else t.hi[1])
-    return mag[1] + mag[0].bit_length() <= cut_exp
+def _term_small(mag: rd.MPF, cut_exp: int) -> bool:
+    """True once a term of magnitude at most mag is below 2**cut_exp."""
+    return mag[0] == 0 or mag[1] + mag[0].bit_length() <= cut_exp
+
+
+def _sum_series(
+    ctx: PrecisionContext,
+    total: RealInterval,
+    terms: Iterator[RealInterval],
+    *,
+    stop_after: bool = False,
+    min_terms: float = 0,
+    max_terms: int | None = None,
+    geometric: Fraction | None = None,
+    ratio: bool = False,
+    upper_only: bool = False,
+) -> RealInterval:
+    """Add signed terms onto total until one is tiny, then widen by the tail.
+
+    Terms carry their own signs: an alternating series feeds its recurrence
+    a negated ratio.  A term is tiny once it is below 2**-(prec+8) and more than min_terms
+    terms have been added.  By default the tiny term is left out; with
+    stop_after it is added and the sum stops after it.  Past max_terms added
+    terms the series counts as divergent.  The tail rule sets the radius:
+
+    * alternating (default): |first omitted term|;
+    * geometric: |first omitted term| * c, for c bounding 1/(1 - ratio);
+    * ratio: |last added term| / (n+1) after n terms (exp's Taylor tail).
+
+    upper_only widens only the upper endpoint, for sums of positive terms.
+    """
+    cut = -(ctx.prec + 8)
+    n = 0
+    for t in terms:
+        if stop_after:
+            total = ctx.add(total, t)
+            n += 1
+        mag = _magnitude(t)
+        if n > min_terms and _term_small(mag, cut):
+            break
+        if max_terms is not None and n > max_terms:
+            raise RuntimeError(f"series failed to converge after {n} terms")
+        if not stop_after:
+            total = ctx.add(total, t)
+            n += 1
+    if ratio:  # read off the last added term
+        radius = rd.div(mag, rd.from_int(n + 1), 64, rd.CEIL)
+    else:  # read off the first omitted term
+        if stop_after:
+            mag = _magnitude(next(terms))
+        radius = mag
+        if geometric is not None:
+            radius = rd.mul(mag, rd.from_fraction(geometric, 64, rd.CEIL), 64, rd.CEIL)
+    if upper_only:
+        return RealInterval(total.lo, rd.add(total.hi, radius, ctx.prec, rd.CEIL))
+    return ctx.widen(total, radius)
+
+
+def _power_terms(
+    ctx: PrecisionContext, t: RealInterval, w: RealInterval, dens: Iterable[int]
+) -> Iterator[RealInterval]:
+    """t*w/d1, t*w**2/(d1*d2), ...: each term is the last times w over the next d."""
+    for d in dens:
+        t = ctx.div(ctx.mul(t, w), ctx.interval(d))
+        yield t
+
+
+def _odd_power_terms(
+    ctx: PrecisionContext, p: RealInterval, w: RealInterval
+) -> Iterator[RealInterval]:
+    """p*w**j/(2j+1) for j = 0, 1, ...: the atan/atanh series shape."""
+    for j in itertools.count():
+        yield ctx.div(p, ctx.interval(2 * j + 1))
+        p = ctx.mul(p, w)
 
 
 # ---------------------------------------------------------------------------
@@ -73,25 +160,10 @@ def _term_small(t: RealInterval, cut_exp: int) -> bool:
 
 
 def _atan_inv_int(q: int, ctx: PrecisionContext) -> RealInterval:
-    """Enclosure of atan(1/q) for integer q >= 2.
-
-    Alternating series sum_j (-1)**j / ((2j+1) q**(2j+1)) with decreasing
-    terms, so |tail| <= first omitted term.
-    """
-    inv_q2 = ctx.div(ctx.one(), ctx.interval(q * q))
+    """Enclosure of atan(1/q) for integer q >= 2: sum_j (-1)**j / ((2j+1) q**(2j+1))."""
     p = ctx.div(ctx.one(), ctx.interval(q))
-    total = ctx.zero()
-    j = 0
-    cut = -(ctx.prec + 8)
-    while True:
-        term = ctx.div(p, ctx.interval(2 * j + 1))
-        total = ctx.add(total, term) if j % 2 == 0 else ctx.sub(total, term)
-        p = ctx.mul(p, inv_q2)
-        j += 1
-        nxt = ctx.div(p, ctx.interval(2 * j + 1))
-        if _term_small(nxt, cut):
-            tail = rd.abs_(nxt.hi)
-            return ctx.widen(total, tail)
+    w = ctx.neg(ctx.div(ctx.one(), ctx.interval(q * q)))
+    return _sum_series(ctx, ctx.zero(), _odd_power_terms(ctx, p, w))
 
 
 def pi(ctx: PrecisionContext) -> RealInterval:
@@ -115,29 +187,11 @@ def ln2(ctx: PrecisionContext) -> RealInterval:
     ref = _ref_cache.get(key)
     if ref is None:
         rctx = PrecisionContext(level + 16)
-        ninth = ctx_div_int(rctx, 1, 9)
-        p = ctx_div_int(rctx, 1, 3)
-        total = rctx.zero()
-        j = 0
-        cut = -(rctx.prec + 8)
-        while True:
-            term = rctx.div(p, rctx.interval(2 * j + 1))
-            total = rctx.add(total, term)
-            p = rctx.mul(p, ninth)
-            j += 1
-            nxt = rctx.div(p, rctx.interval(2 * j + 1))
-            if _term_small(nxt, cut):
-                # remaining positive terms bounded by geometric comparison
-                tail = rd.mul(nxt.hi, rd.from_fraction(Fraction(9, 8), 64, rd.CEIL), 64, rd.CEIL)
-                total = RealInterval(total.lo, rd.add(total.hi, tail, rctx.prec, rd.CEIL))
-                break
+        terms = _odd_power_terms(rctx, rctx.interval(Fraction(1, 3)), rctx.interval(Fraction(1, 9)))
+        total = _sum_series(rctx, rctx.zero(), terms, geometric=Fraction(9, 8), upper_only=True)
         ref = rctx.scale_2exp(total, 1)
         _ref_cache[key] = ref
     return _final(ctx, ref)
-
-
-def ctx_div_int(ctx: PrecisionContext, a: int, b: int) -> RealInterval:
-    return ctx.div(ctx.interval(a), ctx.interval(b))
 
 
 def euler_gamma(ctx: PrecisionContext) -> RealInterval:
@@ -167,22 +221,10 @@ def _exp_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
     k = max(0, top + 1)  # after scaling by 2**-k, |r| <= 1/2
     rv = rd.mul_2exp(v, -k)
     r = RealInterval(rv, rv)
-    total = ctx.one()
-    term = ctx.one()
-    i = 0
-    cut = -(ctx.prec + 8)
-    while True:
-        i += 1
-        term = ctx.div(ctx.mul(term, r), ctx.interval(i))
-        total = ctx.add(total, term)
-        if _term_small(term, cut):
-            break
-        if i > 4 * ctx.prec + 64:
-            raise RuntimeError("exp series failed to converge")
-    # |R_i| <= |t_{i+1}| / (1 - |r|) <= 2 |t_i| |r| / (i+1) <= |t_i| / (i+1)
-    tail = rd.div(rd.abs_(term.hi if abs(term.hi[0]) >= abs(term.lo[0]) else term.lo),
-                  rd.from_int(i + 1), 64, rd.CEIL)
-    total = ctx.widen(total, tail)
+    # |R_n| <= |t_{n+1}| / (1 - |r|) <= 2 |t_n| |r| / (n+1) <= |t_n| / (n+1)
+    terms = _power_terms(ctx, ctx.one(), r, itertools.count(1))
+    total = _sum_series(ctx, ctx.one(), terms, stop_after=True, max_terms=4 * ctx.prec + 64,
+                        ratio=True)
     for _ in range(k):
         total = ctx.sq(total)
     return total
@@ -209,23 +251,8 @@ def _log_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
         n -= 1
     z = ctx.div(ctx.sub(u, ctx.one()), ctx.add(u, ctx.one()))
     z2 = ctx.sq(z)
-    p = z
-    total = ctx.zero()
-    j = 0
-    cut = -(ctx.prec + 8)
-    while True:
-        term = ctx.div(p, ctx.interval(2 * j + 1))
-        total = ctx.add(total, term)
-        p = ctx.mul(p, z2)
-        j += 1
-        nxt = ctx.div(p, ctx.interval(2 * j + 1))
-        if _term_small(nxt, cut):
-            # |tail| <= |z|^(2j+1) / ((2j+1)(1-|z|^2)); |z| <= 0.175 so the
-            # geometric factor is below 33/32
-            mag = rd.abs_(nxt.hi if abs(nxt.hi[0]) >= abs(nxt.lo[0]) else nxt.lo)
-            tail = rd.mul(mag, rd.from_fraction(Fraction(33, 32), 64, rd.CEIL), 64, rd.CEIL)
-            total = ctx.widen(total, tail)
-            break
+    # |z| <= 0.175, so the geometric factor 1/(1 - |z|^2) is below 33/32
+    total = _sum_series(ctx, ctx.zero(), _odd_power_terms(ctx, z, z2), geometric=Fraction(33, 32))
     total = ctx.scale_2exp(total, 1)
     if n:
         total = ctx.add(total, ctx.mul(ctx.interval(n), ln2(ctx)))
@@ -242,10 +269,6 @@ def log(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     return _final(ctx, RealInterval(lo.lo, hi.hi))
 
 
-def sqrt(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
-    return ctx.sqrt(x)
-
-
 # ---------------------------------------------------------------------------
 # trigonometric functions
 # ---------------------------------------------------------------------------
@@ -253,36 +276,10 @@ def sqrt(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
 
 def _sin_cos_series(r: RealInterval, ctx: PrecisionContext) -> tuple[RealInterval, RealInterval]:
     """Alternating Taylor enclosures of (sin r, cos r) for |r| <= 1."""
-    cut = -(ctx.prec + 8)
-    r2 = ctx.sq(r)
-
-    sin_total = r
-    term = r
-    i = 1
-    while True:
-        term = ctx.div(ctx.mul(term, r2), ctx.interval((i + 1) * (i + 2)))
-        sin_total = ctx.sub(sin_total, term) if (i // 2) % 2 == 0 else ctx.add(sin_total, term)
-        i += 2
-        nxt = ctx.div(ctx.mul(term, r2), ctx.interval((i + 1) * (i + 2)))
-        if _term_small(nxt, cut):
-            mag = rd.abs_(nxt.hi if abs(nxt.hi[0]) >= abs(nxt.lo[0]) else nxt.lo)
-            sin_total = ctx.widen(sin_total, mag)
-            break
-
-    cos_total = ctx.one()
-    term = ctx.one()
-    i = 0
-    while True:
-        term = ctx.div(ctx.mul(term, r2), ctx.interval((i + 1) * (i + 2)))
-        cos_total = ctx.sub(cos_total, term) if (i // 2) % 2 == 0 else ctx.add(cos_total, term)
-        i += 2
-        nxt = ctx.div(ctx.mul(term, r2), ctx.interval((i + 1) * (i + 2)))
-        if _term_small(nxt, cut):
-            mag = rd.abs_(nxt.hi if abs(nxt.hi[0]) >= abs(nxt.lo[0]) else nxt.lo)
-            cos_total = ctx.widen(cos_total, mag)
-            break
-
-    return sin_total, cos_total
+    w = ctx.neg(ctx.sq(r))
+    sin_terms = _power_terms(ctx, r, w, ((i + 1) * (i + 2) for i in itertools.count(1, 2)))
+    cos_terms = _power_terms(ctx, ctx.one(), w, ((i + 1) * (i + 2) for i in itertools.count(0, 2)))
+    return _sum_series(ctx, r, sin_terms), _sum_series(ctx, ctx.one(), cos_terms)
 
 
 def _sin_cos_point(v: rd.MPF, ctx: PrecisionContext) -> tuple[RealInterval, RealInterval]:
@@ -382,21 +379,7 @@ def _atan_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
         doublings += 1
         if doublings > 6:
             break
-    x2 = ctx.sq(x)
-    p = x
-    total = ctx.zero()
-    j = 0
-    cut = -(ctx.prec + 8)
-    while True:
-        term = ctx.div(p, ctx.interval(2 * j + 1))
-        total = ctx.add(total, term) if j % 2 == 0 else ctx.sub(total, term)
-        p = ctx.mul(p, x2)
-        j += 1
-        nxt = ctx.div(p, ctx.interval(2 * j + 1))
-        if _term_small(nxt, cut):
-            mag = rd.abs_(nxt.hi if abs(nxt.hi[0]) >= abs(nxt.lo[0]) else nxt.lo)
-            total = ctx.widen(total, mag)
-            break
+    total = _sum_series(ctx, ctx.zero(), _odd_power_terms(ctx, x, ctx.neg(ctx.sq(x))))
     total = ctx.scale_2exp(total, doublings)
     if add_half_pi:
         total = ctx.sub(ctx.scale_2exp(pi(ctx), -1), total)

@@ -1,51 +1,22 @@
 """Fixed-width hot loops: prime sieving and curve point counts over F_p.
 
 These are the only parts of the package where machine integers suffice, so
-they are the only parts vectorized with numpy and (optionally) JIT-compiled
-with numba.  Everything rigorous stays in exact big-integer arithmetic
-elsewhere; the counts returned here are exact integers either way.
+they are the only parts vectorized with numpy.  Everything rigorous stays in
+exact big-integer arithmetic elsewhere; the counts returned here are exact
+integers.
 
-Backend selection for the point-count kernel:
-
-* env ``ZETAVAL_KERNELS=numpy`` forces the pure-numpy path,
-* ``ZETAVAL_KERNELS=numba`` requires numba and fails loudly without it,
-* unset or ``auto`` uses numba when importable, else numpy.
-
-Both paths count, for each odd prime p, the points of the reduced Weierstrass
-curve via the quadratic-residue table of F_p: completing the square in y turns
-the fiber over x into ``v**2 = h(x)**2 + 4 f(x)`` with ``h = a1 x + a3`` and
-``f`` the cubic, so the fiber size is ``1 + chi(g(x))`` with chi the Legendre
-symbol.  Primes must stay below 2**31 so intermediates fit in int64.
+The point-count kernel counts, for each odd prime p, the points of the
+reduced Weierstrass curve via the quadratic-residue table of F_p: completing
+the square in y turns the fiber over x into ``v**2 = h(x)**2 + 4 f(x)`` with
+``h = a1 x + a3`` and ``f`` the cubic, so the fiber size is ``1 + chi(g(x))``
+with chi the Legendre symbol.  Primes must stay below 2**31 so intermediates fit in int64.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
 _MAX_PRIME = 1 << 31
-
-
-def backend() -> str:
-    """Resolve the active point-count backend name."""
-    mode = os.environ.get("ZETAVAL_KERNELS", "auto").lower()
-    if mode in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if mode == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("ZETAVAL_KERNELS=numba but numba is not importable")
-        return "numba"
-    if mode == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown ZETAVAL_KERNELS value: {mode!r}")
 
 
 def sieve(limit: int) -> np.ndarray:
@@ -64,7 +35,7 @@ def _coeffs_mod(coeffs: tuple[int, int, int, int, int], p: int) -> tuple[int, ..
     return tuple(int(c % p) for c in coeffs)
 
 
-def _count_one_numpy(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> int:
+def _count_one(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> int:
     x = np.arange(p, dtype=np.int64)
     qr = np.full(p, -1, dtype=np.int64)
     qr[(x * x) % p] = 1
@@ -74,55 +45,6 @@ def _count_one_numpy(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> int
     h = (a1 * x + a3) % p
     g = ((h * h) % p + 4 * f) % p
     return int(1 + p + qr[g].sum())
-
-
-def count_points_numpy(coeffs: tuple[int, int, int, int, int], primes) -> np.ndarray:
-    out = np.empty(len(primes), dtype=np.int64)
-    for i, p in enumerate(primes):
-        p = int(p)
-        if p == 2:
-            out[i] = _count_two(coeffs)
-        else:
-            a1, a2, a3, a4, a6 = _coeffs_mod(coeffs, p)
-            out[i] = _count_one_numpy(a1, a2, a3, a4, a6, p)
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=False)
-    def _count_batch_numba(cmods: np.ndarray, primes: np.ndarray) -> np.ndarray:  # pragma: no cover - compiled
-        out = np.empty(primes.shape[0], dtype=np.int64)
-        for i in range(primes.shape[0]):
-            p = primes[i]
-            a1, a2, a3, a4, a6 = cmods[i, 0], cmods[i, 1], cmods[i, 2], cmods[i, 3], cmods[i, 4]
-            qr = np.full(p, np.int64(-1))
-            for x in range(p):
-                qr[(x * x) % p] = 1
-            qr[0] = 0
-            total = np.int64(1 + p)
-            for x in range(p):
-                x2 = (x * x) % p
-                f = ((x2 * x) % p + (a2 * x2) % p + (a4 * x) % p + a6) % p
-                h = (a1 * x + a3) % p
-                g = ((h * h) % p + 4 * f) % p
-                total += qr[g]
-            out[i] = total
-        return out
-
-
-def count_points_numba(coeffs: tuple[int, int, int, int, int], primes) -> np.ndarray:
-    primes = np.asarray(primes, dtype=np.int64)
-    odd_mask = primes != 2
-    cmods = np.empty((len(primes), 5), dtype=np.int64)
-    for i, p in enumerate(primes):
-        cmods[i] = _coeffs_mod(coeffs, int(p))
-    out = np.empty(len(primes), dtype=np.int64)
-    if odd_mask.any():
-        out[odd_mask] = _count_batch_numba(cmods[odd_mask], primes[odd_mask])
-    if (~odd_mask).any():
-        out[~odd_mask] = _count_two(coeffs)
-    return out
 
 
 def _count_two(coeffs: tuple[int, int, int, int, int]) -> int:
@@ -138,10 +60,15 @@ def _count_two(coeffs: tuple[int, int, int, int, int]) -> int:
 
 
 def count_points_batch(coeffs: tuple[int, int, int, int, int], primes) -> np.ndarray:
-    """A_p (points including infinity) for each prime, via the active backend."""
+    """A_p (points including infinity) for each prime."""
     primes = np.asarray(primes, dtype=np.int64)
     if len(primes) and int(primes.max()) >= _MAX_PRIME:
         raise ValueError("point counting requires primes below 2**31")
-    if backend() == "numba":
-        return count_points_numba(coeffs, primes)
-    return count_points_numpy(coeffs, primes)
+    out = np.empty(len(primes), dtype=np.int64)
+    for i, p in enumerate(primes):
+        p = int(p)
+        if p == 2:
+            out[i] = _count_two(coeffs)
+        else:
+            out[i] = _count_one(*_coeffs_mod(coeffs, p), p)
+    return out

@@ -22,7 +22,7 @@ integers come from the Bernoulli closed forms and are returned as rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import functions as fn
@@ -55,7 +55,6 @@ class Enclosure:
     value: ComplexBox
     params: object
     remainder_radius: rd.MPF
-    certified: bool
     raw_value: ComplexBox
     meets_target: bool | None = None
 
@@ -129,7 +128,6 @@ def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure
         value=ctx.cwiden(raw, radius),
         params=params,
         remainder_radius=radius,
-        certified=True,
         raw_value=raw,
     )
 
@@ -145,11 +143,14 @@ def zeta_auto(
 
     Doubles N, increments k, and adds 32 bits per round.  If the cap is hit
     the best (final) enclosure is returned with ``meets_target=False``; it is
-    still a certified enclosure, just wider than requested.
+    still a certified enclosure, just wider than requested.  A target width
+    that is not positive can never be met and raises DomainError.
     """
     from .interval import _as_fraction  # local import to keep module API tidy
 
     target = _as_fraction(target_width)
+    if target <= 0:
+        raise DomainError("zeta_auto needs a positive target width")
     N, k = start.N, start.k
     prec = ctx.prec
     enc = None
@@ -158,11 +159,11 @@ def zeta_auto(
         enc = zeta_em(s, EMParams(N, k), step_ctx)
         width = max(enc.value.re.width_fraction(), enc.value.im.width_fraction())
         if width <= target:
-            return Enclosure(**{**enc.__dict__, "meets_target": True})
+            return replace(enc, meets_target=True)
         N *= 2
         k += 1
         prec += 32
-    return Enclosure(**{**enc.__dict__, "meets_target": False})
+    return replace(enc, meets_target=False)
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ def class_number_oracle(D: int, ctx: PrecisionContext) -> RealInterval:
 
     Fundamental units hard-coded for the fixture fields (all have h = 1).
     """
-    sqrt_d = fn.sqrt(ctx.interval(D), ctx)
+    sqrt_d = ctx.sqrt(ctx.interval(D))
     if D == 5:
         eps = ctx.scale_2exp(ctx.add(ctx.one(), sqrt_d), -1)  # (1+sqrt 5)/2
         delta = 5
@@ -95,7 +95,7 @@ def class_number_oracle(D: int, ctx: PrecisionContext) -> RealInterval:
     else:
         raise ValueError(f"no fundamental unit on file for D={D}")
     num = ctx.scale_2exp(fn.log(eps, ctx), 1)
-    return ctx.div(num, fn.sqrt(ctx.interval(delta), ctx))
+    return ctx.div(num, ctx.sqrt(ctx.interval(delta)))
 
 
 def midpoint_quadrature_e1(x: float, panels: int = 400_000, cutoff: float = 50.0) -> tuple[float, float]:

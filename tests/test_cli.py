@@ -1,6 +1,7 @@
 """CLI surface: output formats, enclosure-preserving rendering, exit codes."""
 
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -139,3 +140,25 @@ def test_exit_code_usage(capsys):
 def test_uncertified_local_zeta_exit(capsys):
     code, _, err = run(capsys, "elliptic", "--coeffs", "0,0,0,0,1", "--local", "5", "--s", "0")
     assert code == 3
+
+
+def test_non_finite_decimals_are_usage_errors(capsys):
+    for argv in (
+        ("zeta", "--re", "nan"),
+        ("zeta", "--re", "inf"),
+        ("zeta", "--re", "2", "--im=-Infinity"),
+        ("zeta", "--re", "sNaN"),
+        ("zeta", "--re", "2", "--width", "nan"),
+        ("ldir", "--char", "5,2", "--s", "inf"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert "finite" in err and "Traceback" not in err
+
+
+def test_nonpositive_width_is_domain_error(capsys):
+    for width in ("--width=0", "--width=-1"):
+        t0 = time.monotonic()
+        code, _, err = run(capsys, "zeta", "--re", "2", width)
+        assert code == 2 and "positive target width" in err
+        assert time.monotonic() - t0 < 1

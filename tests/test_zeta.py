@@ -86,6 +86,13 @@ def test_zeta_auto_hits_width_targets():
     assert loose.meets_target and loose.params == EMParams(32, 6)
 
 
+def test_zeta_auto_rejects_nonpositive_width():
+    # no enclosure has width <= 0, so these used to double N for all rounds
+    for width in (0, "0", -1, "-1e-12"):
+        with pytest.raises(DomainError):
+            zeta_auto(_sbox(2), width, ctx)
+
+
 def test_remainder_soundness_sweep():
     points = [
         _sbox(Fraction(11, 10)),
