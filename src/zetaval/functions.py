@@ -26,7 +26,9 @@ The series:
 * ``log``: mantissa reduction to u in [~0.70, ~1.42), atanh series in
   z = (u-1)/(u+1), plus n*ln2.
 * ``sin``/``cos``: reduction mod pi/2 with an enclosed pi, alternating Taylor
-  series for |r| <= 1.
+  series for |r| <= 1.  One point evaluation yields both sin and cos, so
+  ``sin_cos`` encloses both over a box from one evaluation per endpoint;
+  ``sin`` and ``cos`` take one half of it, and ``cexp`` uses it whole.
 * ``atan``: halving transform t = x/(1+sqrt(1+x^2)) until |x| <= 1/4, then the
   alternating Maclaurin series.
 * ``euler_gamma``: no series; 50 truncated decimal digits as an exact
@@ -42,6 +44,7 @@ nest under refinement.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
@@ -314,32 +317,25 @@ def _sin_cos_point(v: rd.MPF, ctx: PrecisionContext) -> tuple[RealInterval, Real
     return ctx.neg(c), s
 
 
-def _monotone_hull_trig(
-    x: RealInterval, ctx: PrecisionContext, which: str
+def _trig_hull(
+    fa: RealInterval, fb: RealInterval, lo_f: float, hi_f: float, max_at: float,
+    ctx: PrecisionContext,
 ) -> RealInterval:
-    import math as _math
+    """Range of sin or cos over [lo_f, hi_f] from its endpoint values fa, fb.
 
-    inner = ctx.with_precision(ctx.prec + _GUARD)
-    if which == "sin":
-        fa = _sin_cos_point(x.lo, inner)[0]
-        fb = _sin_cos_point(x.hi, inner)[0]
-        max_at, min_at = 0.5, 1.5  # multiples of pi where extrema sit, over 2
-    else:
-        fa = _sin_cos_point(x.lo, inner)[1]
-        fb = _sin_cos_point(x.hi, inner)[1]
-        max_at, min_at = 0.0, 1.0
+    The maxima sit at max_at*pi and the minima at (max_at+1)*pi modulo 2*pi;
+    the hull takes in +-1 wherever such a point may fall inside the argument.
+    """
     res = ctx.hull(_final(ctx, fa), _final(ctx, fb))
-    lo_f, hi_f = x.to_floats()
-    if hi_f - lo_f >= 2 * _math.pi:
-        return _final(ctx, ctx.interval(-1, 1))
-    two_pi = 2 * _math.pi
+    min_at = max_at + 1
+    two_pi = 2 * math.pi
     # conservative crossing tests: padding only ever widens the hull
     pad = 1e-9 * (1 + abs(lo_f) + abs(hi_f))
-    n0 = _math.ceil((lo_f - max_at * _math.pi - pad) / two_pi)
-    if max_at * _math.pi + n0 * two_pi <= hi_f + pad:
+    n0 = math.ceil((lo_f - max_at * math.pi - pad) / two_pi)
+    if max_at * math.pi + n0 * two_pi <= hi_f + pad:
         res = ctx.hull(res, ctx.one())
-    n1 = _math.ceil((lo_f - min_at * _math.pi - pad) / two_pi)
-    if min_at * _math.pi + n1 * two_pi <= hi_f + pad:
+    n1 = math.ceil((lo_f - min_at * math.pi - pad) / two_pi)
+    if min_at * math.pi + n1 * two_pi <= hi_f + pad:
         res = ctx.hull(res, ctx.neg(ctx.one()))
     one = ctx.one()
     neg_one = ctx.neg(one)
@@ -348,12 +344,27 @@ def _monotone_hull_trig(
     return RealInterval(lo, hi)
 
 
+def sin_cos(x: RealInterval, ctx: PrecisionContext) -> tuple[RealInterval, RealInterval]:
+    """Enclosures of (sin, cos) over x from one point evaluation per endpoint."""
+    lo_f, hi_f = x.to_floats()
+    if hi_f - lo_f >= 2 * math.pi:
+        full = _final(ctx, ctx.interval(-1, 1))
+        return full, full
+    inner = ctx.with_precision(ctx.prec + _GUARD)
+    sa, ca = _sin_cos_point(x.lo, inner)
+    sb, cb = (sa, ca) if x.is_point() else _sin_cos_point(x.hi, inner)
+    return (
+        _trig_hull(sa, sb, lo_f, hi_f, 0.5, ctx),
+        _trig_hull(ca, cb, lo_f, hi_f, 0.0, ctx),
+    )
+
+
 def sin(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
-    return _monotone_hull_trig(x, ctx, "sin")
+    return sin_cos(x, ctx)[0]
 
 
 def cos(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
-    return _monotone_hull_trig(x, ctx, "cos")
+    return sin_cos(x, ctx)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +413,7 @@ def atan(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
 def cexp(z: ComplexBox, ctx: PrecisionContext) -> ComplexBox:
     """Enclosure of exp over a complex box: e^re * (cos im + i sin im)."""
     mag = exp(z.re, ctx)
-    c = cos(z.im, ctx)
-    s = sin(z.im, ctx)
+    s, c = sin_cos(z.im, ctx)
     return ComplexBox(ctx.mul(mag, c), ctx.mul(mag, s))
 
 
@@ -438,14 +448,21 @@ def neg_power(n: int, s: ComplexBox, ctx: PrecisionContext) -> ComplexBox:
     return cexp(w, ctx)
 
 
+# largest NegPowerTable: about 80 MB and a minute to build at 128 bits
+_TABLE_CAP = 10**5
+
+
 class NegPowerTable:
     """Enclosures of n**(-s) for 1 <= n <= limit, built multiplicatively.
 
     Transcendental evaluations happen only at primes; composite entries are
     interval products along the factorization, which preserves containment.
+    A limit above ``_TABLE_CAP`` raises DomainError before anything is built.
     """
 
     def __init__(self, limit: int, s: ComplexBox, ctx: PrecisionContext):
+        if limit > _TABLE_CAP:
+            raise DomainError(f"table of {limit} powers n**-s exceeds the cap of {_TABLE_CAP}")
         self.limit = limit
         self.ctx = ctx
         spf = _smallest_prime_factors(limit)

@@ -7,6 +7,15 @@ applies the usual rectangle formulas componentwise.  All values are immutable;
 every operation is a pure function of its operands and a ``PrecisionContext``,
 so results are reproducible and safe to share across threads.
 
+``mul``, ``div`` and ``sq`` dispatch on the endpoint signs, as Arb does: the
+signs say which endpoint pair gives the extreme product or quotient, so each
+side rounds that one candidate.  Only a ``mul`` with both operands straddling
+zero compares two candidates per side.  The result is bit-identical to
+rounding all four candidates and taking the min/max: FLOOR and CEIL are
+monotone, so the rounded extreme is the extreme of the rounded values, and
+``rd.round_to`` returns one canonical ``(man, exp)`` pair per value.  An
+``int`` point skips the ``Fraction`` path and is rounded directly.
+
 Nonzero certification follows the disjunctive reading of ``f(z) != 0``: a real
 interval is certified by sign, a complex box by the sign of its real or
 imaginary part, and an enclosure straddling zero is honestly ``UNCERTIFIED``.
@@ -201,6 +210,10 @@ class PrecisionContext:
 
     def interval(self, lo: _Exact, hi: _Exact | None = None) -> RealInterval:
         """Enclosure of [lo, hi] (or the point lo), endpoints rounded outward."""
+        if hi is None and type(lo) is int:
+            return RealInterval(
+                rd.round_to(lo, 0, self.prec, rd.FLOOR), rd.round_to(lo, 0, self.prec, rd.CEIL)
+            )
         flo = _as_fraction(lo)
         fhi = flo if hi is None else _as_fraction(hi)
         if flo > fhi:
@@ -238,33 +251,44 @@ class PrecisionContext:
 
     def mul(self, a: RealInterval, b: RealInterval) -> RealInterval:
         p = self.prec
-        cands = [(a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi)]
-        lo = _mpf_min(*(rd.mul(x, y, p, rd.FLOOR) for x, y in cands))
-        hi = _mpf_max(*(rd.mul(x, y, p, rd.CEIL) for x, y in cands))
+        if b.lo[0] < 0 < b.hi[0]:
+            if a.lo[0] < 0 < a.hi[0]:
+                # both straddle 0: lo is a negative cross product, hi a positive one
+                return RealInterval(
+                    _mpf_min(rd.mul(a.lo, b.hi, p, rd.FLOOR), rd.mul(a.hi, b.lo, p, rd.FLOOR)),
+                    _mpf_max(rd.mul(a.lo, b.lo, p, rd.CEIL), rd.mul(a.hi, b.hi, p, rd.CEIL)),
+                )
+            a, b = b, a  # now b has a fixed sign
+        if b.lo[0] >= 0:  # x*y grows with x
+            lo = rd.mul(a.lo, b.hi if a.lo[0] < 0 else b.lo, p, rd.FLOOR)
+            hi = rd.mul(a.hi, b.hi if a.hi[0] >= 0 else b.lo, p, rd.CEIL)
+        else:  # b <= 0: x*y falls as x grows
+            lo = rd.mul(a.hi, b.lo if a.hi[0] >= 0 else b.hi, p, rd.FLOOR)
+            hi = rd.mul(a.lo, b.hi if a.lo[0] >= 0 else b.lo, p, rd.CEIL)
         return RealInterval(lo, hi)
 
     def div(self, a: RealInterval, b: RealInterval) -> RealInterval:
         if b.contains_zero():
             raise DivisionByZeroInterval("interval divisor contains zero")
         p = self.prec
-        cands = [(a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi)]
-        lo = _mpf_min(*(rd.div(x, y, p, rd.FLOOR) for x, y in cands))
-        hi = _mpf_max(*(rd.div(x, y, p, rd.CEIL) for x, y in cands))
+        if b.lo[0] > 0:  # x/y grows with x
+            lo = rd.div(a.lo, b.hi if a.lo[0] >= 0 else b.lo, p, rd.FLOOR)
+            hi = rd.div(a.hi, b.lo if a.hi[0] >= 0 else b.hi, p, rd.CEIL)
+        else:  # b < 0: x/y falls as x grows
+            lo = rd.div(a.hi, b.hi if a.hi[0] >= 0 else b.lo, p, rd.FLOOR)
+            hi = rd.div(a.lo, b.lo if a.lo[0] >= 0 else b.hi, p, rd.CEIL)
         return RealInterval(lo, hi)
 
     def sq(self, a: RealInterval) -> RealInterval:
         """a*a with the dependency handled: image of x**2 over x in a."""
         p = self.prec
-        lo2 = rd.mul(a.lo, a.lo, p, rd.CEIL)
-        hi2 = rd.mul(a.hi, a.hi, p, rd.CEIL)
-        hi = hi2 if rd.cmp(hi2, lo2) >= 0 else lo2
-        if a.contains_zero():
-            return RealInterval(rd.ZERO, hi)
-        lo = _mpf_min(
-            rd.mul(a.lo, a.lo, p, rd.FLOOR),
-            rd.mul(a.hi, a.hi, p, rd.FLOOR),
+        if a.lo[0] >= 0:
+            return RealInterval(rd.mul(a.lo, a.lo, p, rd.FLOOR), rd.mul(a.hi, a.hi, p, rd.CEIL))
+        if a.hi[0] <= 0:
+            return RealInterval(rd.mul(a.hi, a.hi, p, rd.FLOOR), rd.mul(a.lo, a.lo, p, rd.CEIL))
+        return RealInterval(
+            rd.ZERO, _mpf_max(rd.mul(a.lo, a.lo, p, rd.CEIL), rd.mul(a.hi, a.hi, p, rd.CEIL))
         )
-        return RealInterval(lo, hi)
 
     def pow_int(self, a: RealInterval, n: int) -> RealInterval:
         """Image of x**n over x in a; negative n via 1/a**(-n)."""

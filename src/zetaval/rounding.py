@@ -83,7 +83,12 @@ def cmp(x: MPF, y: MPF) -> int:
     my, ey = y
     if mx == 0 or my == 0 or (mx > 0) != (my > 0):
         return (sign(x) > sign(y)) - (sign(x) < sign(y))
-    # same sign, both nonzero: compare aligned mantissas
+    # same sign, both nonzero: a higher msb decides, so the aligning shift
+    # below is at most one mantissa length
+    if ex != ey:
+        d = ex + abs(mx).bit_length() - ey - abs(my).bit_length()
+        if d:
+            return 1 if (d > 0) == (mx > 0) else -1
     if ex >= ey:
         mx <<= ex - ey
     else:
@@ -104,12 +109,12 @@ def add(x: MPF, y: MPF, prec: int, rnd: str) -> MPF:
     if my == 0:
         return round_to(mx, ex, prec, rnd)
     # keep x the operand with the higher msb
-    if _top(y) > _top(x):
-        mx, ex, my, ey = my, ey, mx, ex
-    gap = _top((mx, ex)) - _top((my, ey))
-    if gap > prec + _STICKY_GUARD:
+    tx, ty = _top(x), _top(y)
+    if ty > tx:
+        mx, ex, my, ey, tx, ty = my, ey, mx, ex, ty, tx
+    if tx - ty > prec + _STICKY_GUARD:
         # |y| < ulp(x)/2**_STICKY_GUARD: replace y by a directed sticky bound
-        es = _top((mx, ex)) - prec - _STICKY_GUARD // 2
+        es = tx - prec - _STICKY_GUARD // 2
         if rnd == CEIL:
             my, ey = (1, es) if my > 0 else (0, 0)
         else:

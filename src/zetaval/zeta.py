@@ -141,20 +141,30 @@ def zeta_auto(
 ) -> Enclosure:
     """Grow (N, k, precision) until the enclosure width meets target_width.
 
-    Doubles N, increments k, and adds 32 bits per round.  If the cap is hit
-    the best (final) enclosure is returned with ``meets_target=False``; it is
-    still a certified enclosure, just wider than requested.  A target width
-    that is not positive can never be met and raises DomainError.
+    Doubles N, increments k, and adds 32 bits per round.  The rounds that run
+    are at most max_rounds, and stop before N passes the NegPowerTable cap.
+    If the last round misses the target, its enclosure is returned with
+    ``meets_target=False``; it is still a certified enclosure, just wider than
+    requested.  Two kinds of target raise DomainError up front, since no round
+    can meet them: one that is not positive, and one below
+    2**-(prec + 32*rounds), finer than the grid of the last round's precision
+    for |zeta| >~ 1.
     """
     from .interval import _as_fraction  # local import to keep module API tidy
 
     target = _as_fraction(target_width)
     if target <= 0:
         raise DomainError("zeta_auto needs a positive target width")
+    rounds = max(1, min(max_rounds, (fn._TABLE_CAP // start.N).bit_length()))
+    bits = ctx.prec + 32 * rounds
+    if target < Fraction(1, 2**bits):
+        raise DomainError(
+            f"zeta_auto cannot reach a target width below 2**-{bits} in {rounds} rounds"
+        )
     N, k = start.N, start.k
     prec = ctx.prec
     enc = None
-    for _ in range(max_rounds):
+    for _ in range(rounds):
         step_ctx = PrecisionContext(prec)
         enc = zeta_em(s, EMParams(N, k), step_ctx)
         width = max(enc.value.re.width_fraction(), enc.value.im.width_fraction())

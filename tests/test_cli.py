@@ -162,3 +162,14 @@ def test_nonpositive_width_is_domain_error(capsys):
         code, _, err = run(capsys, "zeta", "--re", "2", width)
         assert code == 2 and "positive target width" in err
         assert time.monotonic() - t0 < 1
+
+
+def test_resource_refusals_are_fast_domain_errors(capsys):
+    for argv in (
+        ("zeta", "--re", "2", "--N", "100000000"),
+        ("zeta", "--re", "2", "--width", "1e-1000"),
+    ):
+        t0 = time.monotonic()
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "Traceback" not in err, argv
+        assert time.monotonic() - t0 < 1, argv

@@ -3,9 +3,13 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from zetaval import rounding as rd
 from zetaval.errors import DivisionByZeroInterval, DomainError, UncertifiedDivisor
 from zetaval.interval import (
     CertifiedSign,
@@ -199,3 +203,103 @@ def test_pow_int_negative_exponent():
     inv = ctx.pow_int(_iv(2, 3), -2)
     assert inv.contains(Fraction(1, 4)) and inv.contains(Fraction(1, 9))
     assert inv.lo_fraction > 0
+
+
+# -- sign-case dispatch against the four-candidate formula ----------------------
+
+_by_value = cmp_to_key(rd.cmp)
+_props = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+def _four_candidates(op, a: RealInterval, b: RealInterval, prec: int) -> RealInterval:
+    """Round every endpoint pair both ways and keep the min and max."""
+    cands = [(a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi)]
+    return RealInterval(
+        min((op(x, y, prec, rd.FLOOR) for x, y in cands), key=_by_value),
+        max((op(x, y, prec, rd.CEIL) for x, y in cands), key=_by_value),
+    )
+
+
+def _both_squares(a: RealInterval, prec: int) -> RealInterval:
+    hi = max(rd.mul(a.lo, a.lo, prec, rd.CEIL), rd.mul(a.hi, a.hi, prec, rd.CEIL), key=_by_value)
+    if a.contains_zero():
+        return RealInterval(rd.ZERO, hi)
+    lo = min(rd.mul(a.lo, a.lo, prec, rd.FLOOR), rd.mul(a.hi, a.hi, prec, rd.FLOOR), key=_by_value)
+    return RealInterval(lo, hi)
+
+
+@st.composite
+def _endpoint(draw, prec: int) -> rd.MPF:
+    if draw(st.integers(0, 5)) == 0:
+        return rd.ZERO
+    bits = draw(st.sampled_from([1, 2, prec // 2, prec - 1, prec]))
+    man = draw(st.integers(1, 2**bits - 1)) * draw(st.sampled_from([1, -1]))
+    return rd.normalize(man, draw(st.integers(-prec - 40, 40)))
+
+
+@st.composite
+def _intervals(draw, prec: int) -> RealInterval:
+    """Every sign pattern: zero endpoints, points, equal values, mixed exponents."""
+    x = draw(_endpoint(prec))
+    if draw(st.booleans()):
+        return RealInterval(x, x)
+    y = draw(_endpoint(prec))
+    return RealInterval(x, y) if rd.cmp(x, y) <= 0 else RealInterval(y, x)
+
+
+@pytest.mark.parametrize("prec", [64, 512])
+def test_mul_dispatch_matches_four_candidates(prec):
+    pctx = PrecisionContext(prec)
+
+    @_props
+    @given(_intervals(prec), _intervals(prec))
+    def check(a, b):
+        assert pctx.mul(a, b) == _four_candidates(rd.mul, a, b, prec)
+
+    check()
+
+
+@pytest.mark.parametrize("prec", [64, 512])
+def test_div_dispatch_matches_four_candidates(prec):
+    pctx = PrecisionContext(prec)
+
+    @_props
+    @given(_intervals(prec), _intervals(prec).filter(lambda b: not b.contains_zero()))
+    def check(a, b):
+        assert pctx.div(a, b) == _four_candidates(rd.div, a, b, prec)
+
+    check()
+
+
+@pytest.mark.parametrize("prec", [64, 512])
+def test_sq_dispatch_matches_both_squares(prec):
+    pctx = PrecisionContext(prec)
+
+    @_props
+    @given(_intervals(prec))
+    def check(a):
+        assert pctx.sq(a) == _both_squares(a, prec)
+
+    check()
+
+
+@pytest.mark.parametrize("prec", [64, 512])
+def test_int_point_matches_fraction_path(prec):
+    pctx = PrecisionContext(prec)
+
+    @_props
+    @given(st.integers(-(2 ** (2 * prec)), 2 ** (2 * prec)))
+    @example(0)
+    @example(-1)
+    @example(2**prec - 1)
+    @example(2**prec + 1)
+    @example(-(2**prec) - 1)
+    @example(3**prec)
+    def check(n):
+        want = RealInterval(
+            rd.from_fraction(Fraction(n), prec, rd.FLOOR),
+            rd.from_fraction(Fraction(n), prec, rd.CEIL),
+        )
+        assert pctx.interval(n) == want
+
+    check()

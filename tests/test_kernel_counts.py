@@ -1,0 +1,59 @@
+"""Operation counts of the hot interval kernels: a return of wasted work fails
+here deterministically, without timing anything."""
+
+from fractions import Fraction
+
+import pytest
+
+from zetaval import functions as fn
+from zetaval import rounding as rd
+from zetaval.interval import ComplexBox, PrecisionContext
+
+ctx = PrecisionContext(128)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Call counters on rd.mul, rd.div and functions._sin_cos_point."""
+    tally = {"mul": 0, "div": 0, "sin_cos_point": 0}
+
+    def counting(owner, attr, key):
+        inner = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            tally[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(rd, "mul", "mul")
+    counting(rd, "div", "div")
+    counting(fn, "_sin_cos_point", "sin_cos_point")
+    return tally
+
+
+def test_nonnegative_mul_rounds_one_product_per_side(counts):
+    a = ctx.interval(Fraction(1, 3), Fraction(5, 7))
+    b = ctx.interval(0, Fraction(9, 11))
+    counts["mul"] = 0
+    ctx.mul(a, b)
+    assert counts["mul"] == 2
+
+
+def test_positive_divisor_div_rounds_one_quotient_per_side(counts):
+    a = ctx.interval(Fraction(-1, 3), Fraction(5, 7))
+    b = ctx.interval(Fraction(2, 3), Fraction(9, 11))
+    counts["div"] = 0
+    ctx.div(a, b)
+    assert counts["div"] == 2
+
+
+def test_int_point_skips_division(counts):
+    ctx.interval(7)
+    assert counts["div"] == 0
+
+
+def test_neg_power_evaluates_each_endpoint_once(counts):
+    s = ComplexBox(ctx.interval(Fraction(3, 2)), ctx.interval(Fraction(7, 3)))
+    fn.neg_power(3, s, ctx)
+    assert counts["sin_cos_point"] == 2

@@ -6,6 +6,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaval import rounding as rd
 
@@ -128,3 +130,21 @@ def test_to_decimal_carry():
 
 def test_zero_renders_as_zero():
     assert rd.to_decimal(rd.ZERO, 10, rd.FLOOR) == "0"
+
+
+def test_cmp_far_exponents_does_not_shift():
+    # aligning these mantissas would need a 2**70-bit shift (OverflowError)
+    assert rd.cmp((1, -2**70), (3, -2**70 + 5)) < 0
+    assert rd.cmp((3, -2**70 + 5), (1, -2**70)) > 0
+    assert rd.cmp((-1, -2**70), (-3, -2**70 + 5)) > 0
+    assert rd.cmp((1, 2**70), (1, -2**70)) > 0
+    assert rd.cmp((-5, 2**70), (-5, 2**70)) == 0
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(-(2**80), 2**80), st.integers(-200, 200),
+       st.integers(-(2**80), 2**80), st.integers(-200, 200))
+def test_cmp_matches_fractions(mx, ex, my, ey):
+    x, y = rd.normalize(mx, ex), rd.normalize(my, ey)
+    fx, fy = rd.to_fraction(x), rd.to_fraction(y)
+    assert rd.cmp(x, y) == (fx > fy) - (fx < fy)

@@ -1,5 +1,6 @@
 """Euler-Maclaurin zeta enclosures against the eta-series oracle."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,24 @@ def test_chunked_partial_sum_still_contains():
     exact = sum(Fraction(1, n * n) for n in range(1, 33))
     assert chunked.re.contains(exact)
     assert straight.re.contains(exact)
+
+
+def test_zeta_auto_rejects_unreachable_width():
+    # finer than the last round's precision grid: used to run all 40 rounds
+    t0 = time.monotonic()
+    with pytest.raises(DomainError, match="cannot reach"):
+        zeta_auto(_sbox(2), "1e-1000", ctx)
+    assert time.monotonic() - t0 < 1
+    # 12 rounds take N from 32 to 65536, within the table cap
+    bits = ctx.prec + 32 * 12
+    with pytest.raises(DomainError, match=f"2\\*\\*-{bits} in 12 rounds"):
+        zeta_auto(_sbox(2), Fraction(1, 2**bits + 1), ctx)
+
+
+def test_table_cap_refused_before_allocation():
+    t0 = time.monotonic()
+    with pytest.raises(DomainError, match="cap"):
+        zeta_em(_sbox(2), EMParams(10**8, 2), ctx)
+    with pytest.raises(DomainError, match="cap"):
+        fn.NegPowerTable(fn._TABLE_CAP + 1, _sbox(2), ctx)
+    assert time.monotonic() - t0 < 1
