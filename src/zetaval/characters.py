@@ -1,23 +1,30 @@
 """Dirichlet characters with exact symbolic values, and their Gauss sums.
 
-Two families are supported, matching the two constructions the evaluators
-need: characters of prime modulus p built from a primitive root (values are
-roots of unity, stored as exponents of e^(2 pi i/(p-1))), and real quadratic
-characters given by the Kronecker symbol of a positive fundamental
-discriminant (values in {-1, 0, 1}).  Values stay symbolic until they are
-converted to complex boxes, so multiplicativity and orthogonality can be
-checked exactly, with no enclosure slack.
+Every character has one representation, as in Arb's Dirichlet module: a
+modulus q, an order, and an exponent map with chi(n) = exp(2 pi i e(n)/order),
+or e(n) = None where chi(n) = 0.  Two constructions feed it: characters of
+prime modulus p built from a primitive root (order p-1, exponents read from a
+table), and real quadratic characters given by the Kronecker symbol of a
+positive fundamental discriminant (order 2, exponents computed from the symbol
+on demand, so a large discriminant costs nothing up front).  Values stay
+symbolic until they are converted to complex boxes, so multiplicativity and
+orthogonality can be checked exactly, with no enclosure slack.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import functions as fn
 from .exact import QuadraticDiscriminant, index_table, is_prime, kronecker, primitive_root
 from .errors import DomainError, NotPrime
 from .interval import ComplexBox, PrecisionContext
+
+# Kronecker symbol value -> exponent of -1
+_SIGN_EXPONENT = {1: 0, -1: 1, 0: None}
 
 
 @dataclass(frozen=True)
@@ -27,53 +34,38 @@ class ParityFlag:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A character mod q; exactly one of the two value representations is set.
-
-    For the prime-modulus kind, ``exponents[n]`` is e(n) with
-    chi(n) = zeta_{p-1}**e(n); entry -1 marks chi(n) = 0.  For the Kronecker
-    kind values come from the symbol directly.
-    """
+    """A character mod ``modulus`` whose values are ``order``-th roots of unity."""
 
     modulus: int
-    kind: str  # "elementary" | "kronecker"
-    m: int | None = None
-    generator: int | None = None
-    exponents: tuple[int, ...] | None = None
-    discriminant: QuadraticDiscriminant | None = None
+    order: int
+    exponent_of: Callable[[int], int | None]
 
     def exponent(self, n: int) -> int | None:
-        """Root-of-unity exponent of chi(n) mod (p-1), or None if chi(n)=0."""
-        if self.kind != "elementary":
-            raise DomainError("exponent table only exists for prime-modulus characters")
-        e = self.exponents[n % self.modulus]
-        return None if e < 0 else e
+        """e in [0, order) with chi(n) = exp(2 pi i e/order), or None if chi(n) = 0."""
+        return self.exponent_of(n)
 
     def sign(self, n: int) -> int:
         """chi(n) in {-1, 0, 1}; only for characters with real values."""
-        if self.kind == "kronecker":
-            if n < 1:
-                n = n % self.modulus + self.modulus  # symbol is periodic mod delta
-            return kronecker(self.discriminant.delta, n)
         e = self.exponent(n)
         if e is None:
             return 0
-        order = self.modulus - 1
         if e == 0:
             return 1
-        if 2 * e == order:
+        if 2 * e == self.order:
             return -1
         raise DomainError("character value is not real")
 
-    def is_real_valued(self) -> bool:
-        if self.kind == "kronecker":
-            return True
-        order = self.modulus - 1
-        return all(e <= 0 or 2 * e == order for e in self.exponents)
-
     def is_principal(self) -> bool:
-        if self.kind == "kronecker":
-            return False
-        return all(e <= 0 for e in self.exponents)
+        return all(not self.exponent(n) for n in range(1, self.modulus))  # e is 0 or None
+
+
+def _table_exponent(table: tuple[int | None, ...], n: int) -> int | None:
+    return table[n % len(table)]
+
+
+def _kronecker_exponent(delta: int, n: int) -> int | None:
+    # the symbol is periodic mod delta and even, since delta > 0
+    return _SIGN_EXPONENT[kronecker(delta, n % delta or delta)]
 
 
 def make_elementary(p: int, m: int) -> DirichletCharacter:
@@ -82,20 +74,15 @@ def make_elementary(p: int, m: int) -> DirichletCharacter:
         raise NotPrime(f"modulus {p} is not an odd prime")
     if not 1 <= m <= p - 1:
         raise DomainError("need 1 <= m <= p-1")
-    g = primitive_root(p)
-    nu = index_table(p, g)
-    exps = [-1] * p
-    for n in range(1, p):
-        exps[n] = (m * nu[n]) % (p - 1)
-    return DirichletCharacter(
-        modulus=p, kind="elementary", m=m, generator=g, exponents=tuple(exps)
-    )
+    nu = index_table(p, primitive_root(p))
+    exps = (None,) + tuple((m * nu[n]) % (p - 1) for n in range(1, p))
+    return DirichletCharacter(p, p - 1, partial(_table_exponent, exps))
 
 
 def make_kronecker(D: int) -> DirichletCharacter:
     """Real quadratic character chi(n) = (delta/n) for squarefree D >= 2."""
-    disc = QuadraticDiscriminant.from_squarefree(D)
-    return DirichletCharacter(modulus=disc.delta, kind="kronecker", discriminant=disc)
+    delta = QuadraticDiscriminant.from_squarefree(D).delta
+    return DirichletCharacter(delta, 2, partial(_kronecker_exponent, delta))
 
 
 def _root_of_unity(num: int, den: int, ctx: PrecisionContext) -> ComplexBox:
@@ -111,54 +98,27 @@ def _root_of_unity(num: int, den: int, ctx: PrecisionContext) -> ComplexBox:
 
 
 def char_value(chi: DirichletCharacter, n: int, ctx: PrecisionContext) -> ComplexBox:
-    """Enclosure of chi(n); exact for Kronecker characters and at zeros."""
-    if chi.kind == "kronecker":
-        return ctx.box(chi.sign(n))
+    """Enclosure of chi(n); exact at quarter turns and at zeros."""
     e = chi.exponent(n)
     if e is None:
         return ctx.box(0)
-    return _root_of_unity(e, chi.modulus - 1, ctx)
+    return _root_of_unity(e, chi.order, ctx)
 
 
 def parity(chi: DirichletCharacter) -> ParityFlag:
     """alpha = 0 if chi(-1) = 1, alpha = 1 if chi(-1) = -1."""
-    if chi.kind == "kronecker":
-        value = chi.sign(chi.modulus - 1)
-    else:
-        e = chi.exponent(chi.modulus - 1)
-        order = chi.modulus - 1
-        if e == 0:
-            value = 1
-        elif e is not None and 2 * e == order:
-            value = -1
-        else:
-            raise DomainError("chi(-1) must be a sign")
-    if value == 1:
-        return ParityFlag(0)
-    if value == -1:
-        return ParityFlag(1)
-    raise DomainError("chi(-1) vanished; character is not primitive")
+    return ParityFlag(0 if chi.sign(-1) == 1 else 1)
 
 
 def gauss_sum(chi: DirichletCharacter, ctx: PrecisionContext) -> ComplexBox:
     """Enclosure of tau(chi) = sum_m chi(m) exp(2 pi i m / q)."""
     q = chi.modulus
-    if q < 2:
-        raise DomainError("modulus must be at least 2")
     total = ctx.box(0)
     for m in range(1, q + 1):
-        if chi.kind == "kronecker":
-            s = chi.sign(m)
-            if s == 0:
-                continue
-            term = _root_of_unity(m, q, ctx)
-            term = term if s == 1 else ctx.cneg(term)
-        else:
-            e = chi.exponent(m)
-            if e is None:
-                continue
-            # chi(m) e_q(m) = exp(2 pi i (e/(p-1) + m/q))
-            frac = Fraction(e, q - 1) + Fraction(m, q)
-            term = _root_of_unity(frac.numerator, frac.denominator, ctx)
-        total = ctx.cadd(total, term)
+        e = chi.exponent(m)
+        if e is None:
+            continue
+        # chi(m) e_q(m) = exp(2 pi i (e/order + m/q))
+        frac = Fraction(e, chi.order) + Fraction(m, q)
+        total = ctx.cadd(total, _root_of_unity(frac.numerator, frac.denominator, ctx))
     return total

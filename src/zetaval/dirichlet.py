@@ -86,9 +86,7 @@ def exp_integral(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     """
     if rd.sign(x.lo) <= 0:
         raise DomainError("exp_integral needs x > 0")
-    hi_part = _e1_point(x.lo, ctx.prec + 16)
-    lo_part = hi_part if x.is_point() else _e1_point(x.hi, ctx.prec + 16)
-    return fn._final(ctx, RealInterval(lo_part.lo, hi_part.hi))
+    return fn._monotone_hull(x, ctx, lambda v: _e1_point(v, ctx.prec + 16), decreasing=True)
 
 
 def _two_over_sqrt_pi(ctx: PrecisionContext) -> RealInterval:
@@ -131,9 +129,7 @@ def erfc_enclosure(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     """Enclosure of erfc(x) = (2/sqrt(pi)) int_x^inf e^(-t^2) dt; x.lo >= 0."""
     if rd.sign(x.lo) < 0:
         raise DomainError("erfc_enclosure needs x >= 0")
-    hi_part = _erfc_point(x.lo, ctx.prec + 16)
-    lo_part = hi_part if x.is_point() else _erfc_point(x.hi, ctx.prec + 16)
-    return fn._final(ctx, RealInterval(lo_part.lo, hi_part.hi))
+    return fn._monotone_hull(x, ctx, lambda v: _erfc_point(v, ctx.prec + 16), decreasing=True)
 
 
 def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
@@ -141,7 +137,7 @@ def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
     if m < 1:
         raise DomainError("need at least one series term")
     chi = make_kronecker(D)
-    delta = chi.discriminant.delta
+    delta = chi.modulus
     A = ctx.div(fn.pi(ctx), ctx.interval(delta))
     sqrt_delta = ctx.sqrt(ctx.interval(delta))
     sqrt_a = ctx.sqrt(A)
@@ -183,6 +179,30 @@ def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
     )
 
 
+def _times_chi(
+    chi: DirichletCharacter, n: int, e: int, z: ComplexBox, cache: dict[int, ComplexBox],
+    ctx: PrecisionContext,
+) -> ComplexBox:
+    """chi(n) z for chi(n) = exp(2 pi i e/order), with enclosures of chi(n) cached by e.
+
+    At a quarter turn chi(n) is 1, i, -1 or -i and the product is a swap or
+    negation of the parts, bit-identical to ``cmul`` by the exact unit box.
+    """
+    quarter, rest = divmod(4 * e, chi.order)
+    if rest == 0:
+        if quarter == 0:
+            return z
+        if quarter == 2:
+            return ctx.cneg(z)
+        if quarter == 1:
+            return ComplexBox(ctx.neg(z.im), z.re)
+        return ComplexBox(z.im, ctx.neg(z.re))
+    cv = cache.get(e)
+    if cv is None:
+        cv = cache[e] = char_value(chi, n, ctx)
+    return ctx.cmul(cv, z)
+
+
 def l_truncated(
     chi: DirichletCharacter, s: ComplexBox, N: int, ctx: PrecisionContext
 ) -> Enclosure:
@@ -195,21 +215,9 @@ def l_truncated(
     total = ctx.box(0)
     value_cache: dict[int, ComplexBox] = {}
     for n in range(1, N + 1):
-        if chi.kind == "kronecker":
-            sgn = chi.sign(n)
-            if sgn == 0:
-                continue
-            term = table[n] if sgn == 1 else ctx.cneg(table[n])
-        else:
-            e = chi.exponent(n)
-            if e is None:
-                continue
-            cv = value_cache.get(e)
-            if cv is None:
-                cv = char_value(chi, n, ctx)
-                value_cache[e] = cv
-            term = ctx.cmul(cv, table[n])
-        total = ctx.cadd(total, term)
+        e = chi.exponent(n)
+        if e is not None:
+            total = ctx.cadd(total, _times_chi(chi, n, e, table[n], value_cache, ctx))
 
     # |sum_{n>N} chi(n) n^-s| <= sum_{n>N} n^-sigma <= N^(1-sigma)/(sigma-1)
     sigma_lo = RealInterval(s.re.lo, s.re.lo)

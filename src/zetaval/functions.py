@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from . import rounding as rd
@@ -73,6 +73,22 @@ def _final(ctx: PrecisionContext, x: RealInterval) -> RealInterval:
         rd.round_to(x.lo[0], x.lo[1], p, rd.FLOOR),
         rd.round_to(x.hi[0], x.hi[1], p, rd.CEIL),
     )
+
+
+def _monotone_hull(
+    x: RealInterval, ctx: PrecisionContext, point: Callable[[rd.MPF], RealInterval],
+    decreasing: bool = False,
+) -> RealInterval:
+    """Image of x under a monotone function from its point enclosures at the ends.
+
+    ``point`` runs at x.lo, then at x.hi unless x is a point; the hull of the
+    two is rounded outward to the caller precision.
+    """
+    at_lo = point(x.lo)
+    at_hi = at_lo if x.is_point() else point(x.hi)
+    if decreasing:
+        at_lo, at_hi = at_hi, at_lo
+    return _final(ctx, RealInterval(at_lo.lo, at_hi.hi))
 
 
 def _magnitude(t: RealInterval) -> rd.MPF:
@@ -237,9 +253,7 @@ def exp(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     """Enclosure of exp over x (monotone: endpoint evaluation)."""
     k_guess = max(0, x.hi[1] + abs(x.hi[0]).bit_length(), x.lo[1] + abs(x.lo[0]).bit_length())
     inner = ctx.with_precision(ctx.prec + _GUARD + k_guess + 8)
-    lo = _exp_point(x.lo, inner)
-    hi = lo if x.is_point() else _exp_point(x.hi, inner)
-    return _final(ctx, RealInterval(lo.lo, hi.hi))
+    return _monotone_hull(x, ctx, lambda v: _exp_point(v, inner))
 
 
 def _log_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
@@ -267,9 +281,7 @@ def log(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     if rd.sign(x.lo) <= 0:
         raise DomainError("log needs a strictly positive interval")
     inner = ctx.with_precision(ctx.prec + _GUARD)
-    lo = _log_point(x.lo, inner)
-    hi = lo if x.is_point() else _log_point(x.hi, inner)
-    return _final(ctx, RealInterval(lo.lo, hi.hi))
+    return _monotone_hull(x, ctx, lambda v: _log_point(v, inner))
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +412,7 @@ def _atan_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
 def atan(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     """Enclosure of arctan over x (monotone: endpoint evaluation)."""
     inner = ctx.with_precision(ctx.prec + _GUARD)
-    lo = _atan_point(x.lo, inner)
-    hi = lo if x.is_point() else _atan_point(x.hi, inner)
-    return _final(ctx, RealInterval(lo.lo, hi.hi))
+    return _monotone_hull(x, ctx, lambda v: _atan_point(v, inner))
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,6 @@ class RealInterval:
         w = rd.sub(self.hi, self.lo, 64, rd.CEIL)
         return rd.to_float(w, rd.CEIL)
 
-    def mid_float(self) -> float:
-        lo, hi = self.to_floats()
-        return lo + (hi - lo) / 2
-
     def contains(self, v: _Exact) -> bool:
         fv = _as_fraction(v)
         return self.lo_fraction <= fv <= self.hi_fraction
@@ -138,9 +134,6 @@ class ComplexBox:
 
     def contains_complex(self, re: _Exact, im: _Exact = 0) -> bool:
         return self.re.contains(re) and self.im.contains(im)
-
-    def contains_box(self, other: "ComplexBox") -> bool:
-        return self.re.contains_interval(other.re) and self.im.contains_interval(other.im)
 
     def intersects(self, other: "ComplexBox") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)
@@ -358,19 +351,6 @@ class PrecisionContext:
         re = self.div(self.add(self.mul(a.re, b.re), self.mul(a.im, b.im)), den)
         im = self.div(self.sub(self.mul(a.im, b.re), self.mul(a.re, b.im)), den)
         return ComplexBox(re, im)
-
-    def cpow_int(self, a: ComplexBox, n: int) -> ComplexBox:
-        if n < 0:
-            return self.cdiv(self.box(1), self.cpow_int(a, -n))
-        result = self.box(1)
-        base = a
-        while n:
-            if n & 1:
-                result = self.cmul(result, base)
-            n >>= 1
-            if n:
-                base = self.cmul(base, base)
-        return result
 
     def cwiden(self, a: ComplexBox, radius: rd.MPF) -> ComplexBox:
         return ComplexBox(self.widen(a.re, radius), self.widen(a.im, radius))

@@ -31,10 +31,6 @@ ONE: MPF = (1, 0)
 _STICKY_GUARD = 64
 
 
-def _flip(rnd: str) -> str:
-    return CEIL if rnd == FLOOR else FLOOR
-
-
 def normalize(man: int, exp: int) -> MPF:
     """Canonical form: strip trailing zero bits; zero is (0, 0)."""
     if man == 0:
@@ -179,24 +175,6 @@ def sqrt(x: MPF, prec: int, rnd: str) -> MPF:
     return round_to(r, (e - k) // 2, prec, rnd)
 
 
-def pow_int_pos(x: MPF, n: int, prec: int, rnd: str) -> MPF:
-    """x**n for x >= 0 and n >= 0, directed.
-
-    Valid because products of nonnegative directed bounds stay directed.
-    """
-    if n < 0 or x[0] < 0:
-        raise ValueError("pow_int_pos needs x >= 0, n >= 0")
-    result: MPF = ONE
-    base = x
-    while n:
-        if n & 1:
-            result = mul(result, base, prec, rnd)
-        n >>= 1
-        if n:
-            base = mul(base, base, prec, rnd)
-    return result
-
-
 def from_fraction(fr: Fraction, prec: int, rnd: str) -> MPF:
     return div(from_int(fr.numerator), from_int(fr.denominator), prec, rnd)
 
@@ -280,16 +258,36 @@ def _cmp_pow10(m: int, e: int, k: int) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+# decimal exponents beyond +-_DEC_EXPONENT_CAP print as a bare power of ten:
+# the exact rendering costs time growing with the exponent (5**|E|)
+_DEC_EXPONENT_CAP = 10_000
+# log10(2) lies strictly between _LOG10_2_LO and _LOG10_2_LO + 1, over 10**40
+_LOG10_2_LO, _LOG10_2_DEN = 3010299956639811952137388947244930267681, 10**40
+
+
+def _dec_exponent_bounds(b: int) -> tuple[int, int]:
+    """(k, K) with 10**k <= 2**(b-1) and 2**b <= 10**K, from integer arithmetic only."""
+    lo = min((b - 1) * _LOG10_2_LO, (b - 1) * (_LOG10_2_LO + 1)) // _LOG10_2_DEN
+    hi = -(min(-b * _LOG10_2_LO, -b * (_LOG10_2_LO + 1)) // _LOG10_2_DEN)
+    return lo, hi
+
+
 def to_decimal(x: MPF, digits: int, rnd: str) -> str:
     """Directed decimal rendering with the given significant digit count.
 
-    FLOOR output is <= x, CEIL output is >= x, as exact decimals.
+    FLOOR output is <= x, CEIL output is >= x, as exact decimals.  Beyond a
+    decimal exponent of +-_DEC_EXPONENT_CAP the output is the power of ten
+    ``[-]1e+-K`` that bounds x in the requested direction.
     """
     m, e = x
     if m == 0:
         return "0"
     neg_sign = m < 0
     a = abs(m)
+    k_lo, k_hi = _dec_exponent_bounds(e + a.bit_length())  # 10**k_lo <= |x| < 10**k_hi
+    if max(-k_lo, k_hi) > _DEC_EXPONENT_CAP:
+        toward_zero = (rnd == FLOOR) != neg_sign
+        return ("-" if neg_sign else "") + f"1e{k_lo if toward_zero else k_hi:+d}"
     E = _dec_exponent(a, e)
     t = digits - 1 - E
     # signed scaled value m * 2**e * 10**t, rounded to an integer toward rnd

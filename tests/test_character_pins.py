@@ -1,0 +1,208 @@
+"""Bit-exact endpoints of everything built on Dirichlet character values.
+
+Prime-modulus and Kronecker characters share one exponent representation, and
+``l_truncated`` multiplies by chi(n) exactly at quarter turns.  These pins hold
+the exact ``(man, exp)`` endpoints that representation feeds: truncated
+L-series for Kronecker characters and for prime-modulus characters of order 4
+and 6, at a real and a complex s and at 128 and 512 bits; product-mode
+Dedekind zeta; ``char_value`` over a full period; Gauss sums of prime-modulus
+characters; and ``parity``.  Regenerate the table with
+``python tests/test_character_pins.py`` only for a change that is meant to
+move endpoints.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from zetaval.characters import char_value, gauss_sum, make_elementary, make_kronecker, parity
+from zetaval.dedekind import DedekindParams, RealQuadraticField, dedekind_enclosure
+from zetaval.dirichlet import l_truncated
+from zetaval.interval import ComplexBox, PrecisionContext
+from zetaval.zeta import EMParams
+
+PRECS = (128, 512)
+L_TERMS = 60
+S_VALUES = {"2.5": (Fraction(5, 2), 0), "2+3i": (2, 3)}
+L_CHARACTERS = {
+    "kronecker(5)": lambda: make_kronecker(5),
+    "kronecker(13)": lambda: make_kronecker(13),
+    "elementary(5,1)": lambda: make_elementary(5, 1),
+    "elementary(7,1)": lambda: make_elementary(7, 1),
+}
+PERIOD_CHARACTERS = {
+    "elementary(7,1)": lambda: make_elementary(7, 1),
+    "elementary(13,6)": lambda: make_elementary(13, 6),
+}
+PARITY_CHARACTERS = {
+    "kronecker(5)": lambda: make_kronecker(5),
+    "kronecker(3)": lambda: make_kronecker(3),
+    "elementary(5,1)": lambda: make_elementary(5, 1),
+    "elementary(5,2)": lambda: make_elementary(5, 2),
+    "elementary(7,1)": lambda: make_elementary(7, 1),
+    "elementary(13,6)": lambda: make_elementary(13, 6),
+}
+
+
+def _ends(iv):
+    return (iv.lo, iv.hi)
+
+
+def _box_ends(box: ComplexBox):
+    return (_ends(box.re), _ends(box.im))
+
+
+def compute(group: str) -> dict:
+    out: dict = {}
+    if group == "parity":
+        return {name: (build().modulus, parity(build()).alpha)
+                for name, build in PARITY_CHARACTERS.items()}
+    for prec in PRECS:
+        ctx = PrecisionContext(prec)
+        if group == "l_truncated":
+            for name, build in L_CHARACTERS.items():
+                for label, (re, im) in S_VALUES.items():
+                    s = ctx.box(re, im)
+                    enc = l_truncated(build(), s, L_TERMS, ctx)
+                    out[f"{name}@{label}@{prec}"] = _box_ends(enc.value)
+        elif group == "dedekind_product":
+            params = DedekindParams(em=EMParams(16, 4), l_terms=L_TERMS)
+            for D in (5, 13):
+                s = ctx.interval(Fraction(5, 2))
+                enc = dedekind_enclosure(RealQuadraticField.of(D), s, "product", params, ctx)
+                out[f"D={D}@{prec}"] = _box_ends(enc.value)
+        elif group == "char_value":
+            for name, build in PERIOD_CHARACTERS.items():
+                chi = build()
+                for n in range(chi.modulus + 1):
+                    out[f"{name}({n})@{prec}"] = _box_ends(char_value(chi, n, ctx))
+        else:
+            for name, build in PERIOD_CHARACTERS.items():
+                out[f"{name}@{prec}"] = _box_ends(gauss_sum(build(), ctx))
+    return out
+
+
+GROUPS = ["l_truncated", "dedekind_product", "char_value", "gauss_sum_prime", "parity"]
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_character_endpoints_pinned(group):
+    got = compute(group)
+    want = PINS[group]
+    assert got.keys() == want.keys()
+    moved = [k for k in want if got[k] != want[k]]
+    assert not moved, f"{group}: endpoints moved at {moved}"
+
+
+def _render(v) -> str:
+    if isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v):
+        return f"({v[0]:#x}, {v[1]})"
+    if isinstance(v, tuple):
+        return "(" + ", ".join(_render(x) for x in v) + ")"
+    raise TypeError(v)
+
+
+def _table() -> str:
+    lines = ["PINS: dict = {"]
+    for group in GROUPS:
+        lines.append(f"    {group!r}: {{")
+        for key, v in compute(group).items():
+            lines.append(f"        {key!r}: {_render(v)},")
+        lines.append("    },")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(_table())
+
+
+# fmt: off
+PINS: dict = {
+    'l_truncated': {
+        'kronecker(5)@2.5@128': (((0x654c32ebbe1449791390b05cb23c813d, -127), (0xcb54699a748e91478571f89b7152aba9, -128)), ((-0xbc03c2f865fe555e5097e20cd9a8fbd, -133), (0xbc03c2f865fe555e5097e20cd9a8fbd, -133))),
+        'kronecker(5)@2+3i@128': (((0x96cf93e53b48cf031ac56e1303a327f3, -127), (0x9b13d8297f8d13475f09b25747e76c6b, -127)), ((0x3f28811deee14d09b6954e9c8f515167, -128), (0x8f62134ceed3ab247e3bae4a2fb3b41b, -129))),
+        'kronecker(13)@2.5@128': (((0xe1c4dbf3bf7b7a1fc779ae16151ccad3, -128), (0x71406fdb5bf0bc3a92e522fc10fb3a05, -127)), ((-0xbc03c2f865fe555e5097e20cd9a8fbd, -133), (0xbc03c2f865fe555e5097e20cd9a8fbd, -133))),
+        'kronecker(13)@2+3i@128': (((0x76795aac2853216aa28f81773cc056a1, -127), (0xf57b3de0d92ecb5dcda78b770209360d, -128)), ((0xc1b27c3e42a9600cfa48d914a87b62ef, -130), (0x71ea4f303265c1178e357d9b654ec2b5, -129))),
+        'elementary(5,1)@2.5@128': (((0x7cf80620dc88a401b410151226a05125, -127), (0xfaac1004b1774658c670c2065a1a4b5f, -128)), ((0x74b1b3ce92ee820a46ea2cab00b6d4d1, -130), (0xef4385b4e90cf6bf80591866683af1a7, -131))),
+        'elementary(5,1)@2+3i@128': (((0xa0990e3eb5a3ccfd2b04961f4acaaa4b, -127), (0xa4dd5282f9e811416f48da638f0eeec5, -127)), ((-0x394e26709234c5ffa9faef6248693371, -130), (-0xb960227380951eec3ec66a0132388923, -133))),
+        'elementary(7,1)@2.5@128': (((0xed9ad9d5145f87ab0bf3cd23bae07b07, -128), (0xee56dd980cc586006a446505c7ba243b, -128)), ((0xabbc56740ca78b5ccb88e95bfcf511f, -126), (0xaeac657fee3f84b244cb48e4305bb615, -130))),
+        'elementary(7,1)@2+3i@128': (((0xa0d7fda10774b8ff925677fc86d36337, -127), (0x14a3883ca9771fa87ad357881962f4f7, -124)), ((-0xba2470516c65c349a3321f41a50514f3, -131), (-0xebc0581a5042fe0abddbb5fac1819fc9, -132))),
+        'kronecker(5)@2.5@512': (((0xca9865d77c2892f2272160b9647902935238b632d97674b8ba50c3722c614db0b27dccfe49853adc6cb5f8c3529a0e3ae6efafd9c36740fe7b8794325db3b75, -508), (0x32d51a669d23a451e15c7e26dc54aae3c7647cf8303ad02a157d04359904b7247a47c31a2cd60185216835b5a77842950f115bbe8ac618aed8e2272bddd41cd3, -510)), ((-0x5e01e17c32ff2aaf284bf1066cd47de5ac9ed6f3ba65f7cdd1a6b21bd8c7709b509fb534e9659c0c756f09a5a37e0caaaadf9033d890de7400843e8cce5de4b5, -520), (0x5e01e17c32ff2aaf284bf1066cd47de5ac9ed6f3ba65f7cdd1a6b21bd8c7709b509fb534e9659c0c756f09a5a37e0caaaadf9033d890de7400843e8cce5de4b5, -520))),
+        'kronecker(5)@2+3i@512': (((0x4b67c9f29da467818d62b70981d194088c5a81fd34062bc603f5e06b310825e9a34cb226e2669f549ef3c103ae9e81a8d4cf80a1d47ba7f5e230b0771e0d8e4d, -510), (0x4d89ec14bfc689a3af84d92ba3f3b62aae7ca41f56284de82618028d532a480bc56ed4490488c176c115e325d0c0a3caf6f1a2c3f69dca180452d299402fb08b, -510)), ((0xfca20477bb853426da553a723d4545d734f0f536912116e392aed7ee8d5b98b72ab6f41e3ab50c89d7114d30f9a18a6ab7d7dbedcba0fbeb1a84cbcae510b61, -510), (0x11ec42699dda75648fc775c945f6767f957131758b3433905b4d0fa10af7dbad94cd916405cd72eabf9336f531bc3ac8cd9f9fe0fedc31e0d3ca6eded0732d8b, -510))),
+        'kronecker(13)@2.5@512': (((0xe1c4dbf3bf7b7a1fc779ae16151ccaef8d88b36a37c59a6263d323feafca47827de250674ea9bae1a4e8b88382a7a62136f635609dc94d735115da668f03e36f, -512), (0xe280dfb6b7e1787525ca45f821f673eb58e1f1181f3a6651ff767162e77bd663b4838fd1b87c8619bdd39696cdeea23a8c4bf481057a6f303916e2e3a8a09f73, -512)), ((-0x5e01e17c32ff2aaf284bf1066cd47de5ac9ed6f3ba65f7cdd1a6b21bd8c7709b509fb534e9659c0c756f09a5a37e0caaaadf9033d890de7400843e8cce5de4b5, -520), (0x5e01e17c32ff2aaf284bf1066cd47de5ac9ed6f3ba65f7cdd1a6b21bd8c7709b509fb534e9659c0c756f09a5a37e0caaaadf9033d890de7400843e8cce5de4b5, -520))),
+        'kronecker(13)@2+3i@512': (((0x76795aac2853216aa28f81773cc056b0cce98a252de1b0b4d6e5d02906740f587dde251e13637e0e4af0a1870fd8460431b935720ad119da3040e1e97c24ce45, -511), (0x3d5ecf78364bb2d77369e2ddc0824d7a8896e734b912fa7c8d950a36a55c29ce611134b12bd3e129479a72e5aa0e45243afebcdb278aaf0f3a429316e0348957, -510)), ((0x60d93e1f2154b0067d246c8a543db18f5f45e711cae88aa6d392f72ee74dd577a7eaf23c8fc759a1ce52fb88ace096cc296263eaf77c9852fd722708ffb56b9, -509), (0xe3d49e6064cb822f1c6afb36ca9d8540e0adf045b7f3376fc948107ff0bdcd1171f8069b41b0d565bec819337be34fba74e6e9f8111b52c81d067034218cf9a7, -514))),
+        'elementary(5,1)@2.5@512': (((0x1f3e0188372229006d04054489a8144ae2dc63fa7cf7bd37983b40a66e7bf9d84c6763bea0d9514d2b64135e416bc44de40792c3c1c81b8cedc13ccf7b4f3499, -509), (0xfaac1004b1774658c670c2065a1a4b52e23c5d81cf32b5ac5d7d5297ab915da399dc5d5f709d55a1740b790556a51e887592553e75f1fe24560aeef8f41660ab, -512)), ((0x1d2c6cf3a4bba08291ba8b2ac02db536db84f3c99489a6be2ed433ec87fc4ed1c702aa73c0f3397bb51b20b714ac88c33691371d2979117529908de1ea6e4581, -512), (0xef4385b4e90cf6bf80591866683af19536f18bbbdff3956e53bc0a85fd6eed97ed1f4ef15630259e702ff652ff9c26e45f37b1ec895199908c8cb2f820580a79, -515))),
+        'elementary(5,1)@2+3i@512': (((0xa0990e3eb5a3ccfd2b04961f4acaaa672dd7f452f38b81fe5797d2b3a6667ce02b58798a7b6a2c675819db499e4f3288830e3f9c60056f33d9f2eab87d94f6cf, -511), (0x526ea9417cf408a0b7a46d31c7877755b90e1c4b9be7e3214dee0b7bf555609237ce5ee75fd73855ce2f0fc6f149bb6663a941f05224d9bc0f1b977e60ec9da5, -510)), ((-0x729c4ce124698bff53f5dec490d266b91449f6823acff8928583e02c188404acfdf6490e467ad185810c06efe657521832ba4a01a4284ef7bdcfb689103c492d, -515), (-0xb960227380951eec3ec66a01323889d34016c8f7da2ed13904fe6f9f50ff01a2e6c8132808da3504f31f0aae884c374fb9d816f57f902acde62dc9132fe0120b, -517))),
+        'elementary(7,1)@2.5@512': (((0x76cd6cea8a2fc3d585f9e691dd703d91786d13fd962eec17f9f3ab48a58acba816917554998d33391e4e7212118fa54afda1b0a7370c3ed5ce0a325c3c92c6b7, -511), (0x772b6ecc0662c30035223282e3dd120f5e19b2d489e9520fc7c551fac1639318b1e21509ce7698d52ac3e11bb7332357a84c90376ae4cfb4420ab69ac96124b9, -511)), ((0x55de2b3a0653c5ae65c474adfe7a890491a3466f36577e67a0c9305397edf7224385c5ca9ee639e604d25b731afee4df0eae04213d8e1247e214fe15be2de94d, -513), (0x2bab195ffb8fe12c9132d2390c16ed7e142ae0e582a08b236c07e58e03a88a725864224fb945e82b1b540bccd8c66e88dcacc13106782ae0d90b8787f8b3b07d, -512))),
+        'elementary(7,1)@2+3i@512': (((0x2835ff6841dd2e3fe4959dff21b4d8d5641967412ad1328de1a39af7c6325af1a2410bfcb501d6c351ac8a2e2f860db067f466d3102f0dd064539a583a1d5893, -509), (0xa51c41e54bb8fd43d69abc40cb17a799d4a9e148ef890e7bcad2b0235d0db00acd487437184b9f518af66cfd025c7b05e415df9085007b85d592ada52cb9a6cd, -511)), ((-0x2e891c145b1970d268cc87d069414522bb28cab552d2dba84768831c2f3fa9bb2d5b2a9c8ad21013c544478e6bb86adf9b11ed50cbb8002bac6a546d4687114b, -513), (-0x1d780b034a085fc157bb76bf58303411aa17b9a441c1ca973657720b1e2e98aa1c4a198b79c0ff02b433367d5aa759ce8a00dc3fbaa6ef1a9b59435c35760007, -513))),
+    },
+    'dedekind_product': {
+        'D=5@128': (((0x21f8edb88fee95ecd46589491d5c2c97, -125), (0x221874bd329e5e892780be09bb55eafd, -125)), ((-0xfc3825157e456f23782355f5590a4647, -137), (0xfc3825157e456f23782355f5590a4647, -137))),
+        'D=13@128': (((0x976ee00399d966dc0815346f542c48db, -127), (0x25fb3f05892626a7f71543223bb2964f, -125)), ((-0x7e1c128abf340a198f16c21d639be485, -136), (0x7e1c128abf340a198f16c21d639be485, -136))),
+        'D=5@512': (((0x87e3b6e23fba57b3519625247570b2760fb808e4766f31c6e325e040b721a532e99bba725cbf9e2165fd76d39b6bf98300beaf41f85079f8a1c312f77f10a091, -511), (0x110c3a5e994f2f4493c05f04ddaaf57b481dcbe63bd8270bd5f0a3a8e69e1e7b41eb0ead10259328f3762c5fbf8e6df6626a917762a4e1a0ed3ab8906af9454d, -508)), ((-0x1f8704a2afc8ade46f046abeab2148c659f8d725b1d0ec5b5e646ec8b228bb1dee59fe906fd0d3d866c39551014d0661079c378acbc9e81f757aa49d5045f06f, -518), (0x1f8704a2afc8ade46f046abeab2148c659f8d725b1d0ec5b5e646ec8b228bb1dee59fe906fd0d3d866c39551014d0661079c378acbc9e81f757aa49d5045f06f, -518))),
+        'D=13@512': (((0x25dbb800e67659b702054d1bd50b123e2b032c4698de81fd29ef838ee2d6e58b4b5bf7c527aacaf2c8549221d58c5a4415fe39899fe7701ad08a203248747f23, -509), (0x97ecfc1624989a9fdc550c88eeca591e3ed46ba05eb0cd66868deeecc4d06528bc90ed6ed058730706524a68cd919b658c97a4cb15b047eb1a34f83ce5de8539, -511)), ((-0xfc3825157e6814331e2d843ac737c8f5f28f2a53580516ffd46acbbcdc4681c23b76bc9dff1eca21ce4818b4bbe07d4c4ea61348d638231b9f60f4c1282d1fd1, -521), (0xfc3825157e6814331e2d843ac737c8f5f28f2a53580516ffd46acbbcdc4681c23b76bc9dff1eca21ce4818b4bbe07d4c4ea61348d638231b9f60f4c1282d1fd1, -521))),
+    },
+    'char_value': {
+        'elementary(7,1)(0)@128': (((0x0, 0), (0x0, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(7,1)(1)@128': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(7,1)(2)@128': (((-0x40000000000000000000000000000003, -127), (-0x7ffffffffffffffffffffffffffffffb, -128)), ((0xddb3d742c265539d92ba16b83c5c1dc1, -128), (0x1bb67ae8584caa73b25742d7078b83b9, -125))),
+        'elementary(7,1)(3)@128': (((0x7ffffffffffffffffffffffffffffffd, -128), (0x80000000000000000000000000000003, -128)), ((0xddb3d742c265539d92ba16b83c5c1dc3, -128), (0xddb3d742c265539d92ba16b83c5c1dc7, -128))),
+        'elementary(7,1)(4)@128': (((-0x40000000000000000000000000000005, -127), (-0x7ffffffffffffffffffffffffffffff5, -128)), ((-0xddb3d742c265539d92ba16b83c5c1dcb, -128), (-0x6ed9eba16132a9cec95d0b5c1e2e0edf, -127))),
+        'elementary(7,1)(5)@128': (((0xffffffffffffffffffffffffffffffed, -129), (0x20000000000000000000000000000003, -126)), ((-0x6ed9eba16132a9cec95d0b5c1e2e0ee5, -127), (-0xddb3d742c265539d92ba16b83c5c1dbd, -128))),
+        'elementary(7,1)(6)@128': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(7,1)(7)@128': (((0x0, 0), (0x0, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(0)@128': (((0x0, 0), (0x0, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(1)@128': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(2)@128': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(3)@128': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(4)@128': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(5)@128': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(6)@128': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(7)@128': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(8)@128': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(9)@128': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(10)@128': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(11)@128': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(12)@128': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(13)@128': (((0x0, 0), (0x0, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(7,1)(0)@512': (((0x0, 0), (0x0, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(7,1)(1)@512': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(7,1)(2)@512': (((-0x40000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001, -511), (-0x3ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffd, -511)), ((0xddb3d742c265539d92ba16b83c5c1dc492ec1a6629ed23cc639053243722d3712485e7ecaf78aeded4c98557091147c3e6267926d1d0f634686699d00d6cd1c1, -512), (0x6ed9eba16132a9cec95d0b5c1e2e0ee249760d3314f691e631c829921b9169b89242f3f657bc576f6a64c2ab8488a3e1f3133c9368e87b1a34334ce806b668e3, -511))),
+        'elementary(7,1)(3)@512': (((0x7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff, -512), (0x80000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003, -512)), ((0x376cf5d0b09954e764ae85ae0f17077124bb06998a7b48f318e414c90dc8b4dc492179fb2bde2bb7b5326155c24451f0f9899e49b4743d8d1a19a674035b347, -506), (0xddb3d742c265539d92ba16b83c5c1dc492ec1a6629ed23cc639053243722d3712485e7ecaf78aeded4c98557091147c3e6267926d1d0f634686699d00d6cd1c3, -512))),
+        'elementary(7,1)(4)@512': (((-0x20000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003, -510), (-0x7ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffd, -512)), ((-0x376cf5d0b09954e764ae85ae0f17077124bb06998a7b48f318e414c90dc8b4dc492179fb2bde2bb7b5326155c24451f0f9899e49b4743d8d1a19a674035b3471, -510), (-0xddb3d742c265539d92ba16b83c5c1dc492ec1a6629ed23cc639053243722d3712485e7ecaf78aeded4c98557091147c3e6267926d1d0f634686699d00d6cd1bb, -512))),
+        'elementary(7,1)(5)@512': (((0x7ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7, -512), (0x40000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003, -511)), ((-0xddb3d742c265539d92ba16b83c5c1dc492ec1a6629ed23cc639053243722d3712485e7ecaf78aeded4c98557091147c3e6267926d1d0f634686699d00d6cd1c7, -512), (-0x6ed9eba16132a9cec95d0b5c1e2e0ee249760d3314f691e631c829921b9169b89242f3f657bc576f6a64c2ab8488a3e1f3133c9368e87b1a34334ce806b668df, -511))),
+        'elementary(7,1)(6)@512': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(7,1)(7)@512': (((0x0, 0), (0x0, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(0)@512': (((0x0, 0), (0x0, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(1)@512': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(2)@512': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(3)@512': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(4)@512': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(5)@512': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(6)@512': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(7)@512': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(8)@512': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(9)@512': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(10)@512': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(11)@512': (((-0x1, 0), (-0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(12)@512': (((0x1, 0), (0x1, 0)), ((0x0, 0), (0x0, 0))),
+        'elementary(13,6)(13)@512': (((0x0, 0), (0x0, 0)), ((0x0, 0), (0x0, 0))),
+    },
+    'gauss_sum_prime': {
+        'elementary(7,1)@128': (((-0x9c2b251afe4141e86286182684468ff9, -126), (-0x270ac946bf90507a18a18609a111a3fb, -124)), ((0x20b94b0b6ba90db3fd22585612c620fb, -125), (0x41729616d7521b67fa44b0ac258c4203, -126))),
+        'elementary(13,6)@128': (((0x1cd82b446159f360fedeccf37f9e485d, -123), (0xe6c15a230acf9b07f6f6679bfcf24309, -126)), ((-0x5b, -129), (0x3b, -128))),
+        'elementary(7,1)@512': (((-0x9c2b251afe4141e86286182684468ff2cba85a8ff048f95e2f884cbb5c3d2723784594b9f1ea9a8d79734b698a304694534ee017edef6355592554bba44b3fb9, -510), (-0x270ac946bf90507a18a18609a111a3fcb2ea16a3fc123e578be2132ed70f49c8de11652e7c7aa6a35e5cd2da628c11a514d3b805fb7bd8d55649552ee912cfeb, -508)), ((0x41729616d7521b67fa44b0ac258c41fe6b2bc27a0ada3865f3e43dd4b1c8ddd3ee3ce2a250d171d8ba812bef0921a1b1b15d363ea4e32a26437bbc1d87f8e087, -510), (0x41729616d7521b67fa44b0ac258c41fe6b2bc27a0ada3865f3e43dd4b1c8ddd3ee3ce2a250d171d8ba812bef0921a1b1b15d363ea4e32a26437bbc1d87f8e095, -510))),
+        'elementary(13,6)@512': (((0xe6c15a230acf9b07f6f6679bfcf242f7136f191c4a96ec5a1d9f89f0f3ddb239c87ba6b17bd3208eacdb33f04812a6f61d53229fecdaf65073c821a3c12a0969, -510), (0xe6c15a230acf9b07f6f6679bfcf242f7136f191c4a96ec5a1d9f89f0f3ddb239c87ba6b17bd3208eacdb33f04812a6f61d53229fecdaf65073c821a3c12a0989, -510)), ((-0x7, -509), (0x3, -508))),
+    },
+    'parity': {
+        'kronecker(5)': (0x5, 0),
+        'kronecker(3)': (0xc, 0),
+        'elementary(5,1)': (0x5, 1),
+        'elementary(5,2)': (0x5, 0),
+        'elementary(7,1)': (0x7, 1),
+        'elementary(13,6)': (0xd, 0),
+    },
+}

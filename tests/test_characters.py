@@ -13,6 +13,7 @@ from zetaval.characters import (
     parity,
 )
 from zetaval.errors import DomainError, NotPrime
+from zetaval.exact import kronecker
 from zetaval.interval import PrecisionContext
 
 mpmath.mp.dps = 50
@@ -69,6 +70,25 @@ def test_char_value_generic_angle_encloses_root_of_unity():
     w = mpmath.exp(2j * mpmath.pi * e / 6)
     assert v.re.contains(mpmath.nstr(w.real, 40))
     assert v.im.contains(mpmath.nstr(w.imag, 40))
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 6, 13, 17, 21, 30])
+def test_kronecker_exponent_matches_symbol(D):
+    chi = make_kronecker(D)
+    delta = chi.modulus
+    assert chi.order == 2
+    for n in range(-2 * delta, 2 * delta + 1):
+        # delta > 0, so (delta/-1) = 1 and (delta/n) = (delta/|n|); (delta/0) = 0
+        want = kronecker(delta, abs(n)) if n else 0
+        e = chi.exponent(n)
+        assert (0 if e is None else (-1) ** e) == want, n
+
+
+def test_elementary_exponent_table_period():
+    chi = make_elementary(13, 6)
+    assert chi.order == 12
+    assert [chi.exponent(n) for n in range(-13, 14)] == [chi.exponent(n % 13) for n in range(-13, 14)]
+    assert chi.exponent(0) is None and chi.exponent(26) is None
 
 
 def test_parity_examples():

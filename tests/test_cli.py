@@ -173,3 +173,17 @@ def test_resource_refusals_are_fast_domain_errors(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "Traceback" not in err, argv
         assert time.monotonic() - t0 < 1, argv
+
+
+def test_far_real_part_prints_power_of_ten_bounds(capsys):
+    # 2**-s at Re s = 1e400 has a binary exponent near -1e400
+    for re_s in ("1e400", "1000000"):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "zeta", "--re", re_s)
+        assert code == 0 and "Traceback" not in err, re_s
+        assert time.monotonic() - t0 < 5, re_s
+        lines = dict(line.split(" in ", 1) for line in out.splitlines() if " in [" in line)
+        re_lo, re_hi = lines["re"].strip("[]").split(", ")
+        assert Fraction(Decimal(re_lo)) <= 1 <= Fraction(Decimal(re_hi))
+        im_lo, im_hi = lines["im"].strip("[]").split(", ")
+        assert im_lo.startswith("-1e-") and im_hi.startswith("1e-")

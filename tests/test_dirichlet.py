@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     class_number_oracle,
@@ -13,9 +15,11 @@ from oracles import (
     midpoint_quadrature_erfc,
 )
 from zetaval import functions as fn
-from zetaval.characters import make_elementary, make_kronecker
+from zetaval import rounding as rd
+from zetaval.characters import char_value, make_elementary, make_kronecker
 from zetaval.dirichlet import (
     _erfc_sandwich_point,
+    _times_chi,
     erfc_enclosure,
     exp_integral,
     l_one_quadratic,
@@ -23,7 +27,7 @@ from zetaval.dirichlet import (
 )
 from zetaval.errors import DomainError
 from zetaval.exact import kronecker
-from zetaval.interval import ComplexBox, PrecisionContext
+from zetaval.interval import ComplexBox, PrecisionContext, RealInterval
 
 mpmath.mp.dps = 50
 
@@ -234,3 +238,44 @@ def test_l_truncated_complex_character_against_reference_sum():
 def test_kronecker_one_is_rejected():
     with pytest.raises(DomainError):
         make_kronecker(1)
+
+
+@st.composite
+def _intervals(draw, prec: int):
+    """Intervals with endpoints on the prec-bit grid: zeros, points, both signs."""
+    ends = []
+    for _ in range(2):
+        man = draw(st.integers(-(2**prec) + 1, 2**prec - 1) | st.sampled_from([0, 1, -1]))
+        ends.append(rd.normalize(man, draw(st.integers(-prec - 40, 40))))
+    lo, hi = sorted(ends, key=rd.to_fraction)
+    return RealInterval(lo, lo) if draw(st.booleans()) else RealInterval(lo, hi)
+
+
+@pytest.mark.parametrize("prec", [64, 512])
+def test_quarter_turn_product_is_cmul_by_exact_unit(prec):
+    pctx = PrecisionContext(prec)
+    # make_elementary(5, 1) takes all four values 1, i, -1, -i on n = 1, 2, 4, 3
+    chars = [make_elementary(5, 1), make_kronecker(5), make_elementary(13, 6)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_intervals(prec), _intervals(prec), st.sampled_from(chars), st.integers(1, 12))
+    def check(re, im, chi, n):
+        e = chi.exponent(n)
+        if e is None:
+            return
+        z = ComplexBox(re, im)
+        cache: dict = {}
+        assert _times_chi(chi, n, e, z, cache, pctx) == pctx.cmul(char_value(chi, n, pctx), z)
+        assert not cache  # quarter turns never build an enclosure of chi(n)
+
+    check()
+
+
+def test_times_chi_caches_generic_values_by_exponent():
+    chi = make_elementary(7, 1)  # order 6: e = 1, 2, 4, 5 are not quarter turns
+    z = ctx.box(Fraction(1, 3), Fraction(-2, 5))
+    cache: dict = {}
+    for n in range(1, 7):
+        e = chi.exponent(n)
+        assert _times_chi(chi, n, e, z, cache, ctx) == ctx.cmul(char_value(chi, n, ctx), z)
+    assert sorted(cache) == [1, 2, 4, 5]

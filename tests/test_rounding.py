@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaval import functions as fn
 from zetaval import rounding as rd
+from zetaval.interval import PrecisionContext
 
 
 def _rand_mpf(rng, emin=-60, emax=60, bits=80):
@@ -73,13 +77,6 @@ def test_sqrt_negative_raises():
         rd.sqrt((-1, 0), 53, rd.FLOOR)
 
 
-def test_pow_int_pos_directed():
-    x = rd.from_fraction(Fraction(3, 7), 64, rd.FLOOR)
-    exact = Fraction(rd.to_fraction(x)) ** 9
-    assert rd.to_fraction(rd.pow_int_pos(x, 9, 64, rd.FLOOR)) <= exact
-    assert rd.to_fraction(rd.pow_int_pos(x, 9, 64, rd.CEIL)) >= exact
-
-
 def test_cmp_exact():
     assert rd.cmp((1, 0), (1, 0)) == 0
     assert rd.cmp((1, 0), (3, -1)) < 0
@@ -126,6 +123,49 @@ def test_to_decimal_carry():
     x = rd.from_fraction(Fraction(9999999, 10000000), 64, rd.CEIL)
     s = rd.to_decimal(x, 3, rd.CEIL)
     assert Fraction(Decimal(s)) >= rd.to_fraction(x)
+
+
+def _decimal_parts(s: str) -> tuple[int, int]:
+    """(digits, exponent) with s = digits * 10**exponent, without building 10**exponent."""
+    m = re.fullmatch(r"(-?\d)(?:\.(\d+))?e([+-]\d+)", s)
+    frac = m[2] or ""
+    return int(m[1] + frac), int(m[3]) - len(frac)
+
+
+def _certified_cmp(s: str, x: rd.MPF) -> int:
+    """Sign of (s - x), for s and x of one sign, from certified logarithms."""
+    digits, k = _decimal_parts(s)
+    m, e = x
+    assert (digits > 0) == (m > 0)
+    pctx = PrecisionContext(max(k.bit_length(), e.bit_length()) + 128)
+
+    def log(n: int):
+        return fn.log(pctx.interval(n), pctx)
+
+    log_s = pctx.add(log(abs(digits)), pctx.mul(pctx.interval(k), log(10)))
+    log_x = pctx.add(log(abs(m)), pctx.mul(pctx.interval(e), log(2)))
+    diff = pctx.sub(log_s, log_x)  # log|s| - log|x|
+    assert not diff.contains_zero()
+    return (1 if diff.strictly_positive() else -1) * (1 if m > 0 else -1)
+
+
+@pytest.mark.parametrize("e", [-3 * 10**7, 3 * 10**7, -(10**400), 10**400])
+@pytest.mark.parametrize("man", [1, 3, -1, -(2**100 + 1)])
+def test_to_decimal_far_exponents_are_directed_bounds(man, e):
+    x = (man, e)
+    t0 = time.monotonic()
+    lo, hi = rd.to_decimal(x, 5, rd.FLOOR), rd.to_decimal(x, 5, rd.CEIL)
+    assert time.monotonic() - t0 < 1
+    assert _certified_cmp(lo, x) < 0 < _certified_cmp(hi, x)
+
+
+@pytest.mark.parametrize("e", [-40_000, -33_000, 33_000, 40_000])
+def test_to_decimal_exact_around_exponent_cap(e):
+    for man in (1, 7, -12345):
+        fx = rd.to_fraction((man, e))
+        lo = Fraction(Decimal(rd.to_decimal((man, e), 5, rd.FLOOR)))
+        hi = Fraction(Decimal(rd.to_decimal((man, e), 5, rd.CEIL)))
+        assert lo <= fx <= hi
 
 
 def test_zero_renders_as_zero():
