@@ -77,6 +77,28 @@ def _check_domain(s: ComplexBox) -> None:
         raise PoleProximity("the box contains the pole at s = 1")
 
 
+def _em_remainder(s: ComplexBox, N: int, k: int, ctx: PrecisionContext) -> rd.MPF:
+    """Upper bound on the Euler-Maclaurin remainder at cut N with k corrections:
+
+    |(s+2k+1)/(sigma+2k+1)| * |B_{2k+2}/(2k+2)! * prod(s+i) * N^(-s-2k-1)|.
+    """
+    p = ctx.prec
+    coef_up = rd.from_fraction(abs(bernoulli(2 * k + 2)) / math.factorial(2 * k + 2), p, rd.CEIL)
+    prod_up = rd.ONE
+    for i in range(2 * k + 1):
+        prod_up = rd.mul(prod_up, ctx.cabs_upper(_shifted(s, i, ctx)), p, rd.CEIL)
+    sigma_lo = RealInterval(s.re.lo, s.re.lo)
+    expo = ctx.neg(ctx.mul(ctx.add(sigma_lo, ctx.interval(2 * k + 1)), fn.log(ctx.interval(N), ctx)))
+    npow_up = fn.exp(expo, ctx).hi
+    ratio_up = rd.div(
+        ctx.cabs_upper(_shifted(s, 2 * k + 1, ctx)),
+        rd.add(s.re.lo, rd.from_int(2 * k + 1), p, rd.FLOOR),
+        p,
+        rd.CEIL,
+    )
+    return rd.mul(rd.mul(rd.mul(coef_up, prod_up, p, rd.CEIL), npow_up, p, rd.CEIL), ratio_up, p, rd.CEIL)
+
+
 def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure:
     """Euler-Maclaurin enclosure of zeta over the box s."""
     _check_domain(s)
@@ -106,24 +128,7 @@ def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure
             n_shift = _scale_real(n_shift, inv_n2, ctx)
 
     raw = ctx.cadd(big_s, big_b)
-
-    # remainder: |(s+2k+1)/(sigma+2k+1)| * |B_{2k+2}/(2k+2)! * prod(s+i) * N^(-s-2k-1)|
-    p = ctx.prec
-    coef_up = rd.from_fraction(abs(bernoulli(2 * k + 2)) / math.factorial(2 * k + 2), p, rd.CEIL)
-    prod_up = rd.ONE
-    for i in range(2 * k + 1):
-        prod_up = rd.mul(prod_up, ctx.cabs_upper(_shifted(s, i, ctx)), p, rd.CEIL)
-    sigma_lo = RealInterval(s.re.lo, s.re.lo)
-    expo = ctx.neg(ctx.mul(ctx.add(sigma_lo, ctx.interval(2 * k + 1)), fn.log(ctx.interval(N), ctx)))
-    npow_up = fn.exp(expo, ctx).hi
-    ratio_up = rd.div(
-        ctx.cabs_upper(_shifted(s, 2 * k + 1, ctx)),
-        rd.add(s.re.lo, rd.from_int(2 * k + 1), p, rd.FLOOR),
-        p,
-        rd.CEIL,
-    )
-    radius = rd.mul(rd.mul(rd.mul(coef_up, prod_up, p, rd.CEIL), npow_up, p, rd.CEIL), ratio_up, p, rd.CEIL)
-
+    radius = _em_remainder(s, N, k, ctx)
     return Enclosure(
         value=ctx.cwiden(raw, radius),
         params=params,
@@ -143,15 +148,19 @@ def zeta_auto(
 
     Doubles N, increments k, and adds 32 bits per round.  The rounds that run
     are at most max_rounds, and stop before N passes the NegPowerTable cap.
-    If the last round misses the target, its enclosure is returned with
-    ``meets_target=False``; it is still a certified enclosure, just wider than
-    requested.  Two kinds of target raise DomainError up front, since no round
-    can meet them: one that is not positive, and one below
-    2**-(prec + 32*rounds), finer than the grid of the last round's precision
-    for |zeta| >~ 1.
+    Each round first bounds its remainder at its own precision; the widening
+    makes every component at least twice that radius wide, so a round whose
+    remainder alone exceeds half the target is skipped without summing.  The
+    last round always sums: if it misses the target, its enclosure is
+    returned with ``meets_target=False``; it is still a certified enclosure,
+    just wider than requested.  A box outside the domain raises first.  Two
+    kinds of target raise DomainError up front, since no round can meet them:
+    one that is not positive, and one below 2**-(prec + 32*rounds), finer
+    than the grid of the last round's precision for |zeta| >~ 1.
     """
     from .interval import _as_fraction  # local import to keep module API tidy
 
+    _check_domain(s)
     target = _as_fraction(target_width)
     if target <= 0:
         raise DomainError("zeta_auto needs a positive target width")
@@ -163,13 +172,13 @@ def zeta_auto(
         )
     N, k = start.N, start.k
     prec = ctx.prec
-    enc = None
-    for _ in range(rounds):
+    for i in range(rounds):
         step_ctx = PrecisionContext(prec)
-        enc = zeta_em(s, EMParams(N, k), step_ctx)
-        width = max(enc.value.re.width_fraction(), enc.value.im.width_fraction())
-        if width <= target:
-            return replace(enc, meets_target=True)
+        if i == rounds - 1 or 2 * rd.to_fraction(_em_remainder(s, N, k, step_ctx)) <= target:
+            enc = zeta_em(s, EMParams(N, k), step_ctx)
+            width = max(enc.value.re.width_fraction(), enc.value.im.width_fraction())
+            if width <= target:
+                return replace(enc, meets_target=True)
         N *= 2
         k += 1
         prec += 32

@@ -176,8 +176,9 @@ def test_resource_refusals_are_fast_domain_errors(capsys):
 
 
 def test_far_real_part_prints_power_of_ten_bounds(capsys):
-    # 2**-s at Re s = 1e400 has a binary exponent near -1e400
-    for re_s in ("1e400", "1000000"):
+    # 2**-s at Re s = 1e400 has a binary exponent near -1e400; at 1e4000,
+    # exp squaring its way down used to run for over a minute
+    for re_s in ("1e400", "1000000", "1e4000"):
         t0 = time.monotonic()
         code, out, err = run(capsys, "zeta", "--re", re_s)
         assert code == 0 and "Traceback" not in err, re_s

@@ -1,5 +1,6 @@
 """Elementary enclosures against an independent multiprecision implementation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,19 @@ def test_exp_at_zero_is_tight():
     e = fn.exp(ctx.interval(0), ctx)
     assert e.contains(1)
     assert _ulp_width_at_most(e, 2, ctx.prec)
+
+
+def test_exp_far_below_zero_is_a_power_of_two_bound():
+    # e**y <= 2**y for y <= 0, so [0, 2**ceil(x.hi)] encloses exp(x)
+    for lo, hi in [(-(2**32), -(2**32)), (-(2**41), -(2**32) - Fraction(1, 3)),
+                   (-(10**400), -(10**400) + Fraction(7, 2))]:
+        x = ctx.interval(lo, hi)
+        e = fn.exp(x, ctx)
+        assert e.lo == (0, 0)
+        assert e.hi == (1, math.ceil(Fraction(x.hi[0]) * Fraction(2) ** x.hi[1]))
+    # just above the threshold the point evaluation still runs
+    e = fn.exp(ctx.interval(-(2**32) + 1), ctx)
+    assert e.lo[0] > 0 and e.hi[1] < -(2**32)
 
 
 def test_sqrt_of_four():

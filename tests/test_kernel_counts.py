@@ -8,6 +8,7 @@ import pytest
 from zetaval import functions as fn
 from zetaval import rounding as rd
 from zetaval.interval import ComplexBox, PrecisionContext
+from zetaval.zeta import EMParams, zeta_auto, zeta_em
 
 ctx = PrecisionContext(128)
 
@@ -57,3 +58,35 @@ def test_neg_power_evaluates_each_endpoint_once(counts):
     s = ComplexBox(ctx.interval(Fraction(3, 2)), ctx.interval(Fraction(7, 3)))
     fn.neg_power(3, s, ctx)
     assert counts["sin_cos_point"] == 2
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The N of every NegPowerTable built."""
+    built = []
+    table = fn.NegPowerTable
+
+    def counting(N, s, c):
+        built.append(N)
+        return table(N, s, c)
+
+    monkeypatch.setattr(fn, "NegPowerTable", counting)
+    return built
+
+
+def test_zeta_auto_sums_only_the_answering_round(tables):
+    # s = 1.5+18i at 1e-27 is answered by round 3; rounds 1 and 2 are ruled
+    # out by their remainder bounds alone
+    s = ComplexBox(ctx.interval(Fraction(3, 2)), ctx.interval(18))
+    enc = zeta_auto(s, Fraction(1, 10**27), ctx)
+    assert enc.meets_target and enc.params.N == 128
+    assert tables == [128]
+
+
+def test_zeta_auto_skips_a_round_whose_remainder_exceeds_half_the_target(tables):
+    # a target between the remainder and twice the remainder of round 2
+    s = ComplexBox(ctx.interval(Fraction(5, 2)), ctx.interval(25))
+    second = zeta_em(s, EMParams(64, 7), PrecisionContext(ctx.prec + 32))
+    tables.clear()
+    enc = zeta_auto(s, Fraction(3, 2) * rd.to_fraction(second.remainder_radius), ctx)
+    assert enc.meets_target and tables == [128]

@@ -1,9 +1,12 @@
 """Euler-Maclaurin zeta enclosures against the eta-series oracle."""
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import box_separation, decimal_bracket, eta_zeta_oracle
 from zetaval import functions as fn
@@ -222,3 +225,50 @@ def test_table_cap_refused_before_allocation():
     with pytest.raises(DomainError, match="cap"):
         fn.NegPowerTable(fn._TABLE_CAP + 1, _sbox(2), ctx)
     assert time.monotonic() - t0 < 1
+
+
+def test_zeta_auto_checks_domain_before_skipping_rounds():
+    # at 1e-40 the remainder bound skips round 1 near s = 2, so the refusal
+    # must not wait for the first round that sums
+    below = ComplexBox(ctx.interval(Fraction(999, 1000), 2), ctx.interval(0))
+    with pytest.raises(DomainError):
+        zeta_auto(below, "1e-40", ctx)
+    pole = ComplexBox(ctx.interval(1, 2), ctx.interval(Fraction(-1, 10), Fraction(1, 10)))
+    with pytest.raises(PoleProximity):
+        zeta_auto(pole, "1e-40", ctx)
+    with pytest.raises(PoleProximity):
+        zeta_auto(_sbox(1), "1e-40", ctx)
+
+
+def _zeta_auto_summing_every_round(s, target):
+    """The adaptive loop before remainder-first skipping: sum every round."""
+    N, k, prec = 32, 6, ctx.prec
+    rounds = (fn._TABLE_CAP // N).bit_length()
+    for _ in range(rounds):
+        enc = zeta_em(s, EMParams(N, k), PrecisionContext(prec))
+        if max(enc.value.re.width_fraction(), enc.value.im.width_fraction()) <= target:
+            return replace(enc, meets_target=True)
+        N, k, prec = 2 * N, k + 1, prec + 32
+    return replace(enc, meets_target=False)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(1020, 3000),
+    st.integers(-3000, 3000),
+    st.integers(12, 28),
+    st.integers(1, 9),
+)
+def test_zeta_auto_matches_summing_every_round(sigma_milli, t_centi, digits, lead):
+    s = _sbox(Fraction(sigma_milli, 1000), Fraction(t_centi, 100))
+    target = Fraction(lead, 10**digits)
+    assert zeta_auto(s, target, ctx) == _zeta_auto_summing_every_round(s, target)
+
+
+def test_zeta_auto_answers_with_a_round_that_exactly_meets_the_target():
+    # the width of a round's own box is the finest target it meets; with the
+    # remainder at almost half that width the skip test must not drop it
+    s = _sbox(Fraction(5, 2), 25)
+    second = zeta_em(s, EMParams(64, 7), PrecisionContext(ctx.prec + 32))
+    target = max(second.value.re.width_fraction(), second.value.im.width_fraction())
+    assert zeta_auto(s, target, ctx) == replace(second, meets_target=True)
