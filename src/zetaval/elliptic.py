@@ -6,10 +6,14 @@ j-invariant exactly and asserts the two consistency identities
 
 Reduction mod p is taken on the model as given: no minimal-model reduction is
 performed, so bad-prime data describes the supplied equation, not an
-isomorphism class.  At a good prime the trace comes from an exhaustive point
-count; at a bad prime the unique singular point is located and the tangent
-cone ``lambda**2 + a1 lambda - (3 x0 + a2)`` decides cusp / split node /
-nonsplit node, via Euler's criterion for odd p and an exhaustive check at 2.
+isomorphism class.  At a good prime the trace comes from the exact point count
+of ``kernels.count_points_batch`` (baby-step giant-step, about p**(1/4) group
+operations).  At a bad prime the singular x-coordinate is the root of
+``gcd(g, g')`` over F_p, with ``g = 4x**3 + b2 x**2 + 2 b4 x + b6`` (a scan of
+the at most nine points at p = 2, 3), and the tangent cone
+``lambda**2 + a1 lambda - (3 x0 + a2)`` decides cusp / split node / nonsplit
+node, via Euler's criterion for odd p; the point count is then
+``p + 1 - t_p`` with t_p = 0, 1, -1.  Primes are refused from 2**31 on.
 
 The partial Hasse-Weil product multiplies exact local factors over p <= N and
 a two-sided tail factor [exp(-B), exp(B)] with
@@ -34,6 +38,10 @@ from .errors import DomainError, SingularModel, UncertifiedDivisor
 from .exact import is_prime, primes_up_to
 from .interval import ComplexBox, PrecisionContext, RealInterval, certify_nonzero
 from .zeta import Enclosure
+
+# largest primes_to of hasse_weil_partial: at 10**6 (78 498 primes) a 128-bit
+# call takes about 36 s, 16 s of it counting points, and 40 MB
+_PRIMES_TO_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -90,51 +98,72 @@ class ReductionInfo:
     kind: ReductionKind
 
 
-def count_points(curve: WeierstrassCurve, p: int) -> int:
-    """Points of the reduction mod p, including infinity (any prime p)."""
+def _require_prime(p: int) -> None:
+    if p >= kernels.MAX_PRIME:
+        raise DomainError(f"p={p} is not below the point-count limit 2**31")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    return int(kernels.count_points_batch(curve.coeffs(), [p])[0])
 
 
-def _singular_point(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
-    a1, a2, a3, a4, a6 = (c % p for c in curve.coeffs())
-    if p == 2:
-        hits = []
-        for x in range(2):
-            for y in range(2):
-                f_val = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2
-                fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % 2
-                fy = (2 * y + a1 * x + a3) % 2
-                if f_val == 0 and fx == 0 and fy == 0:
-                    hits.append((x, y))
+def count_points(curve: WeierstrassCurve, p: int) -> int:
+    """Points of the reduction mod p, including infinity (any prime p < 2**31)."""
+    return trace(curve, p).A_p
+
+
+def _poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p of two polynomials given constant term first."""
+
+    def trim(h: list[int]) -> list[int]:
+        h = [c % p for c in h]
+        while h and h[-1] == 0:
+            h.pop()
+        return h
+
+    f, g = trim(f), trim(g)
+    while g:
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            q, shift = f[-1] * inv, len(f) - len(g)
+            f = trim([c - q * g[i - shift] if i >= shift else c for i, c in enumerate(f)])
+        f, g = g, f
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _singular_x(curve: WeierstrassCurve, p: int) -> int:
+    """x-coordinate of the singular point of the reduction at a bad prime p."""
+    if p <= 3:
+        a1, a2, a3, a4, a6 = curve.coeffs()
+        hits = {
+            x
+            for x in range(p)
+            for y in range(p)
+            if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+            and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0
+            and (2 * y + a1 * x + a3) % p == 0
+        }
         if len(hits) != 1:
-            raise AssertionError("expected exactly one singular point mod 2")
-        return hits[0]
-    # odd p: complete the square; v^2 = g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6
-    g = (4, curve.b2 % p, (2 * curve.b4) % p, curve.b6 % p)
-    hits = []
-    for x in range(p):
-        gx = ((g[0] * x + g[1]) * x + g[2]) * x + g[3]
-        dgx = (3 * g[0] * x + 2 * g[1]) * x + g[2]
-        if gx % p == 0 and dgx % p == 0:
-            hits.append(x)
-    if len(hits) != 1:
-        raise AssertionError("expected exactly one singular x-coordinate")
-    x0 = hits[0]
-    inv2 = pow(2, -1, p)
-    y0 = (-(a1 * x0 + a3) * inv2) % p
-    return x0, y0
+            raise AssertionError(f"expected exactly one singular point mod {p}")
+        return hits.pop()
+    # completing the square, v^2 = g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6; the
+    # singular x is the double root of g: gcd(g, g') is x - x0 at a node and
+    # (x - x0)^2 at a cusp
+    g = [curve.b6, 2 * curve.b4, curve.b2, 4]
+    h = _poly_gcd(g, [2 * curve.b4, 2 * curve.b2, 12], p)
+    if len(h) == 2:
+        return -h[0] % p
+    if len(h) == 3:
+        return -h[1] * pow(2, -1, p) % p
+    raise AssertionError("expected exactly one singular x-coordinate")
 
 
 def trace(curve: WeierstrassCurve, p: int) -> ReductionInfo:
     """Trace of Frobenius at good p, or the singular-fiber value at bad p."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    a_p = count_points(curve, p)
+    _require_prime(p)
     if curve.disc % p != 0:
+        a_p = kernels.count_points_batch(curve.coeffs(), [p])[0]
         return ReductionInfo(p=p, A_p=a_p, t_p=1 + p - a_p, kind=ReductionKind.GOOD)
-    x0, _y0 = _singular_point(curve, p)
+    x0 = _singular_x(curve, p)
     # tangent cone at the singular point: lambda^2 + q11 lambda + q20
     q11 = curve.a1 % p
     q20 = (-3 * x0 - curve.a2) % p
@@ -154,7 +183,7 @@ def trace(curve: WeierstrassCurve, p: int) -> ReductionInfo:
         else:
             kind = ReductionKind.NONSPLIT_NODE
     t_p = {ReductionKind.CUSP: 0, ReductionKind.SPLIT_NODE: 1, ReductionKind.NONSPLIT_NODE: -1}[kind]
-    return ReductionInfo(p=p, A_p=a_p, t_p=t_p, kind=kind)
+    return ReductionInfo(p=p, A_p=p + 1 - t_p, t_p=t_p, kind=kind)
 
 
 def _local_factor_inverse_den(
@@ -202,7 +231,8 @@ def hasse_weil_partial(
     ctx: PrecisionContext,
 ) -> Enclosure:
     """Partial product of inverse local factors over p <= primes_to, with a
-    certified two-sided tail factor; needs s.lo > 3/2 + 1e-6."""
+    certified two-sided tail factor; needs s.lo > 3/2 + 1e-6 and
+    3 <= primes_to <= _PRIMES_TO_CAP."""
     if curve.is_singular:
         raise SingularModel("the model has discriminant zero")
     min_sigma = Fraction(3, 2) + Fraction(1, 10**6)
@@ -210,13 +240,15 @@ def hasse_weil_partial(
         raise DomainError("hasse_weil_partial needs s.lo > 3/2 + 1e-6")
     if primes_to < 3:
         raise DomainError("need primes_to >= 3")
+    if primes_to > _PRIMES_TO_CAP:
+        raise DomainError(f"primes_to={primes_to} exceeds the cap of {_PRIMES_TO_CAP}")
 
     s_box = ComplexBox(s, ctx.zero())
     primes = primes_up_to(primes_to)
     good = [p for p in primes if curve.disc % p != 0]
     counts = kernels.count_points_batch(curve.coeffs(), good)
     infos: dict[int, ReductionInfo] = {
-        p: ReductionInfo(p=p, A_p=int(a), t_p=1 + p - int(a), kind=ReductionKind.GOOD)
+        p: ReductionInfo(p=p, A_p=a, t_p=1 + p - a, kind=ReductionKind.GOOD)
         for p, a in zip(good, counts)
     }
     for p in primes:

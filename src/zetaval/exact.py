@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
-from . import kernels
 from .errors import DomainError, NotPrime
 
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
@@ -187,4 +187,9 @@ def primes_up_to(limit: int) -> list[int]:
     """Primes <= limit, ascending."""
     if limit < 2:
         raise DomainError("primes_up_to needs limit >= 2")
-    return [int(p) for p in kernels.sieve(limit)]
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), flags))

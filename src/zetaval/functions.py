@@ -249,19 +249,21 @@ def _exp_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
     return total
 
 
-# below this, exp returns [0, 2**ceil(x.hi)] instead of squaring its way down
+# below this, exp returns [0, 2**ceil(x.hi L)] instead of squaring its way down
 _EXP_UNDERFLOW: rd.MPF = (-1, 32)
+# L: log2(e) = 1.44269504088896340735..., rounded down
+_LOG2_E_LO = Fraction(14426950408889634, 10**16)
 
 
 def exp(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     """Enclosure of exp over x (monotone: endpoint evaluation).
 
-    For x.hi <= -2**32 the box is [0, 2**ceil(x.hi)], since e**y <= 2**y for
-    y <= 0; the lower end is 0, not a certified positive bound.
+    For x.hi <= -2**32 the box is [0, 2**ceil(x.hi L)] with L a rational
+    lower bound on log2(e), since e**y = 2**(y log2 e) <= 2**(y L) for y <= 0;
+    the lower end is 0, not a certified positive bound.
     """
     if rd.cmp(x.hi, _EXP_UNDERFLOW) <= 0:
-        m, e = x.hi
-        return RealInterval(rd.ZERO, (1, m << e if e >= 0 else -(-m >> -e)))
+        return RealInterval(rd.ZERO, (1, math.ceil(rd.to_fraction(x.hi) * _LOG2_E_LO)))
     k_guess = max(0, x.hi[1] + abs(x.hi[0]).bit_length(), x.lo[1] + abs(x.lo[0]).bit_length())
     inner = ctx.with_precision(ctx.prec + _GUARD + k_guess + 8)
     return _monotone_hull(x, ctx, lambda v: _exp_point(v, inner))

@@ -261,6 +261,11 @@ def _cmp_pow10(m: int, e: int, k: int) -> int:
 # decimal exponents beyond +-_DEC_EXPONENT_CAP print as a bare power of ten:
 # the exact rendering costs time growing with the exponent (5**|E|)
 _DEC_EXPONENT_CAP = 10_000
+# a decimal exponent this large would not print (int to str stops at 4300
+# digits; |Re s| near 1e40000 gets there), so such a bound becomes 0,
+# infinity, or 1e+-_DEC_EXPONENT_FALLBACK, the end of Decimal's exponent range
+_DEC_EXPONENT_UNPRINTABLE = 10**4000
+_DEC_EXPONENT_FALLBACK = 10**18 - 1
 # log10(2) lies strictly between _LOG10_2_LO and _LOG10_2_LO + 1, over 10**40
 _LOG10_2_LO, _LOG10_2_DEN = 3010299956639811952137388947244930267681, 10**40
 
@@ -277,7 +282,8 @@ def to_decimal(x: MPF, digits: int, rnd: str) -> str:
 
     FLOOR output is <= x, CEIL output is >= x, as exact decimals.  Beyond a
     decimal exponent of +-_DEC_EXPONENT_CAP the output is the power of ten
-    ``[-]1e+-K`` that bounds x in the requested direction.
+    ``[-]1e+-K`` that bounds x in the requested direction; past
+    _DEC_EXPONENT_UNPRINTABLE the bound is 0, inf or 1e+-_DEC_EXPONENT_FALLBACK.
     """
     m, e = x
     if m == 0:
@@ -287,7 +293,13 @@ def to_decimal(x: MPF, digits: int, rnd: str) -> str:
     k_lo, k_hi = _dec_exponent_bounds(e + a.bit_length())  # 10**k_lo <= |x| < 10**k_hi
     if max(-k_lo, k_hi) > _DEC_EXPONENT_CAP:
         toward_zero = (rnd == FLOOR) != neg_sign
-        return ("-" if neg_sign else "") + f"1e{k_lo if toward_zero else k_hi:+d}"
+        sign = "-" if neg_sign else ""
+        k = k_lo if toward_zero else k_hi
+        if abs(k) >= _DEC_EXPONENT_UNPRINTABLE:
+            if toward_zero == (k < 0):
+                return "0" if k < 0 else sign + "inf"
+            k = _DEC_EXPONENT_FALLBACK if k > 0 else -_DEC_EXPONENT_FALLBACK
+        return sign + f"1e{k:+d}"
     E = _dec_exponent(a, e)
     t = digits - 1 - E
     # signed scaled value m * 2**e * 10**t, rounded to an integer toward rnd

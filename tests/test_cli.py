@@ -188,3 +188,32 @@ def test_far_real_part_prints_power_of_ten_bounds(capsys):
         assert Fraction(Decimal(re_lo)) <= 1 <= Fraction(Decimal(re_hi))
         im_lo, im_hi = lines["im"].strip("[]").split(", ")
         assert im_lo.startswith("-1e-") and im_hi.startswith("1e-")
+
+
+def test_exponent_past_print_limit_prints_readable_bounds(capsys):
+    # at Re s = 1e40000 the exponent of 2**-s has over 4300 decimal digits,
+    # too many to print; the bounds fall back to Decimal's exponent range
+    code, out, err = run(capsys, "zeta", "--re", "1e40000")
+    assert code == 0 and "Traceback" not in err
+    lines = dict(line.split(" in ", 1) for line in out.splitlines() if " in [" in line)
+    re_lo, re_hi = lines["re"].strip("[]").split(", ")
+    assert Fraction(Decimal(re_lo)) <= 1 <= Fraction(Decimal(re_hi))
+    im_lo, im_hi = (Decimal(v) for v in lines["im"].strip("[]").split(", "))
+    assert im_lo < 0 < im_hi
+    remainder = [line for line in out.splitlines() if line.startswith("remainder <= ")][0]
+    assert Decimal(remainder.split("<= ")[1]) > 0
+
+
+def test_point_count_limits_are_fast_domain_errors(capsys):
+    curve = ("elliptic", "--coeffs", "0,-1,1,-10,-20")
+    for argv in (
+        (*curve, "--trace", "2147483659"),
+        (*curve, "--local", "2147483659"),
+        # just past the cap: 2000000000 took numpy's MemoryError, and a broken
+        # cap should fail here on time rather than by allocating gigabytes
+        (*curve, "--lseries", "--primes-up-to", "1000001"),
+    ):
+        t0 = time.monotonic()
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "Traceback" not in err, argv
+        assert time.monotonic() - t0 < 1, argv

@@ -17,6 +17,8 @@ from zetaval.errors import DomainError, SingularModel, UncertifiedDivisor
 from zetaval.exact import primes_up_to
 from zetaval.interval import PrecisionContext
 
+from oracles import brute_point_count
+
 ctx = PrecisionContext(128)
 
 CURVE_11A3 = (0, -1, 1, 0, 0)
@@ -147,6 +149,40 @@ def test_bad_reduction_classification_is_exhaustive():
                 assert info.t_p in (-1, 0, 1)
             else:
                 assert info.kind is ReductionKind.GOOD
+
+
+def test_bad_prime_counts_match_brute_force():
+    # bad primes 2 and 3 (x^3 + 1), 2 and 223, a nonsplit and a split node at
+    # 1193 and 2819, cusps at 347 and 739, and three models singular everywhere
+    curves = [(0, 0, 0, 0, 1), (1, -1, 0, -4, 4), (6, 5, 6, 3, -3), (-6, 6, -9, 3, 4),
+              (7, 1, -4, -7, -6), (5, 5, -2, 1, -6), (0, -1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 0)]
+    primes = (2, 3, 5, 7, 11, 13, 223, 347, 739, 1193, 2819)
+    kinds = set()
+    for coeffs in curves:
+        e = derive_quantities(*coeffs)
+        for p in primes:
+            if e.disc % p == 0:
+                info = trace(e, p)
+                assert info.A_p == brute_point_count(coeffs, p) == p + 1 - info.t_p, (coeffs, p)
+                assert count_points(e, p) == info.A_p
+                kinds.add((info.kind, p > 3))
+    assert len(kinds) == 6  # every kind, at p <= 3 and at larger p
+
+
+def test_prime_limit_refused_up_front():
+    e = derive_quantities(0, -1, 1, -10, -20)
+    for call in (lambda: count_points(e, 2147483659), lambda: trace(e, 2147483659),
+                 lambda: local_zeta(e, 2147483659, ctx.box(2, 0), ctx)):
+        with pytest.raises(DomainError):
+            call()
+    info = trace(e, 2**31 - 1)  # the largest prime below the limit
+    assert info.kind is ReductionKind.GOOD and info.t_p**2 <= 4 * info.p
+
+
+def test_hasse_weil_primes_to_cap():
+    e = derive_quantities(*CURVE_11A3)
+    with pytest.raises(DomainError):
+        hasse_weil_partial(e, ctx.interval(2), 10**6 + 1, ctx)
 
 
 def test_hasse_bound_on_fixture_set():

@@ -31,17 +31,38 @@ def test_exp_at_zero_is_tight():
     assert _ulp_width_at_most(e, 2, ctx.prec)
 
 
+# log2(e) = 1.44269504088896340735... lies strictly between these
+LOG2_E_LO, LOG2_E_HI = Fraction(14426950408889634, 10**16), Fraction(14426950408889635, 10**16)
+
+
+def test_log2_e_bracket():
+    assert LOG2_E_LO < Fraction(mpmath.nstr(mpmath.log(mpmath.e, 2), 40)) < LOG2_E_HI
+
+
 def test_exp_far_below_zero_is_a_power_of_two_bound():
-    # e**y <= 2**y for y <= 0, so [0, 2**ceil(x.hi)] encloses exp(x)
+    # e**y = 2**(y log2 e) for y <= 0, so the bound is [0, 2**K] with K the
+    # ceiling of y times a lower bound on log2 e: K >= y log2 e > y LOG2_E_HI,
+    # and K < y LOG2_E_LO + 1 keeps the factor log2 e
     for lo, hi in [(-(2**32), -(2**32)), (-(2**41), -(2**32) - Fraction(1, 3)),
                    (-(10**400), -(10**400) + Fraction(7, 2))]:
         x = ctx.interval(lo, hi)
         e = fn.exp(x, ctx)
-        assert e.lo == (0, 0)
-        assert e.hi == (1, math.ceil(Fraction(x.hi[0]) * Fraction(2) ** x.hi[1]))
+        y = Fraction(x.hi[0]) * Fraction(2) ** x.hi[1]
+        assert e.lo == (0, 0) and e.hi[0] == 1
+        assert y * LOG2_E_LO <= e.hi[1] < y * LOG2_E_LO + 1
     # just above the threshold the point evaluation still runs
     e = fn.exp(ctx.interval(-(2**32) + 1), ctx)
     assert e.lo[0] > 0 and e.hi[1] < -(2**32)
+
+
+def test_exp_deep_underflow_bound_at_minus_2_pow_33():
+    # exact Fraction arithmetic: 2**K bounds e**y from above, and is within a
+    # factor 2 of the true value, not e**y * 2**(0.44 |y|) as with 2**ceil(y)
+    y = Fraction(-(2**33))
+    k = fn.exp(ctx.interval(y), ctx).hi
+    assert k == (1, math.ceil(y * LOG2_E_LO))
+    assert y * LOG2_E_HI < k[1] < y * LOG2_E_HI + 2
+    assert k[1] < math.ceil(y) - (2**33) * 44 // 100
 
 
 def test_sqrt_of_four():

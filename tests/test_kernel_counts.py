@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from zetaval import functions as fn
+from zetaval import kernels
 from zetaval import rounding as rd
+from zetaval.elliptic import derive_quantities, trace
 from zetaval.interval import ComplexBox, PrecisionContext
 from zetaval.zeta import EMParams, zeta_auto, zeta_em
 
@@ -90,3 +92,19 @@ def test_zeta_auto_skips_a_round_whose_remainder_exceeds_half_the_target(tables)
     tables.clear()
     enc = zeta_auto(s, Fraction(3, 2) * rd.to_fraction(second.remainder_radius), ctx)
     assert enc.meets_target and tables == [128]
+
+
+def test_point_counts_near_1e6_never_loop_over_the_field(monkeypatch):
+    calls = []
+    naive = kernels._count_naive
+
+    def counting(coeffs, p):
+        calls.append(p)
+        return naive(coeffs, p)
+
+    monkeypatch.setattr(kernels, "_count_naive", counting)
+    kernels.count_points_batch((0, -1, 1, 0, 0), [999983, 1000003])
+    trace(derive_quantities(1, -1, 0, -4, 4), 1000033)
+    assert calls == []
+    kernels.count_points_batch((0, -1, 1, 0, 0), [229])  # the last prime counted naively
+    assert calls == [229]

@@ -168,6 +168,21 @@ def test_to_decimal_exact_around_exponent_cap(e):
         assert lo <= fx <= hi
 
 
+def test_to_decimal_unprintable_exponents_fall_back_to_printable_bounds():
+    # |x| = 2**(+-10**4001) has a decimal exponent of about 3e4000, past what
+    # an int prints; toward zero the bound is 0 or 1e+(10**18 - 1), away from
+    # it 1e-(10**18 - 1) or infinity
+    near = "999999999999999999"
+    for man in (1, -3):
+        sign = "-" if man < 0 else ""
+        tiny, huge = (man, -(10**4001)), (man, 10**4001)
+        toward, away = (rd.FLOOR, rd.CEIL) if man > 0 else (rd.CEIL, rd.FLOOR)
+        assert rd.to_decimal(tiny, 5, toward) == "0"
+        assert rd.to_decimal(tiny, 5, away) == f"{sign}1e-{near}"
+        assert rd.to_decimal(huge, 5, toward) == f"{sign}1e+{near}"
+        assert rd.to_decimal(huge, 5, away) == f"{sign}inf"
+
+
 def test_zero_renders_as_zero():
     assert rd.to_decimal(rd.ZERO, 10, rd.FLOOR) == "0"
 
