@@ -22,13 +22,18 @@ The series:
 * ``pi``/``ln2``: Machin's atan(1/5), atan(1/239) and 2 atanh(1/3), all
   series of rationals.
 * ``exp``: argument halved until |r| <= 1/2, Taylor series, then repeated
-  interval squaring.
+  interval squaring.  A box of radius r < 2**-(prec/2) is evaluated once, at
+  its midpoint m, as [e**m (1 - r), e**m (1 + r + r**2)]; points and wider
+  boxes are evaluated at both ends.
 * ``log``: mantissa reduction to u in [~0.70, ~1.42), atanh series in
   z = (u-1)/(u+1), plus n*ln2.
 * ``sin``/``cos``: reduction mod pi/2 with an enclosed pi, alternating Taylor
   series for |r| <= 1.  One point evaluation yields both sin and cos, so
-  ``sin_cos`` encloses both over a box from one evaluation per endpoint;
-  ``sin`` and ``cos`` take one half of it, and ``cexp`` uses it whole.
+  ``sin_cos`` encloses both over a box of radius r < 2**-(prec/2) from one
+  evaluation at its midpoint m, as f(m) +- (r |f'(m)| + r**2/2 |f''|), and
+  over points and wider boxes from one evaluation per endpoint plus +-1
+  wherever an extremum may lie between them; ``sin`` and ``cos`` take one
+  half of it, and ``cexp`` uses it whole.
 * ``atan``: halving transform t = x/(1+sqrt(1+x^2)) until |x| <= 1/4, then the
   alternating Maclaurin series.
 * ``euler_gamma``: no series; 50 truncated decimal digits as an exact
@@ -89,6 +94,22 @@ def _monotone_hull(
     if decreasing:
         at_lo, at_hi = at_hi, at_lo
     return _final(ctx, RealInterval(at_lo.lo, at_hi.hi))
+
+
+def _mid_rad(x: RealInterval, prec: int) -> tuple[rd.MPF, rd.MPF]:
+    """Midpoint m of x and a radius r >= max |y - m| over y in x, for a ball model.
+
+    m is the exact dyadic midpoint whenever it fits in prec bits, else rounded
+    down onto that grid; either way m <= mid(x), so hi - m, rounded up to
+    prec bits, bounds the distance from m to every point of x.
+    """
+    m = rd.mul_2exp(rd.add(x.lo, x.hi, prec, rd.FLOOR), -1)
+    return m, rd.sub(x.hi, m, prec, rd.CEIL)
+
+
+def _narrow(r: rd.MPF, ctx: PrecisionContext) -> bool:
+    """True for a nonzero radius below 2**-(prec/2): one point evaluation suffices."""
+    return r[0] != 0 and _term_small(r, -(ctx.prec // 2))
 
 
 def _magnitude(t: RealInterval) -> rd.MPF:
@@ -256,7 +277,12 @@ _LOG2_E_LO = Fraction(14426950408889634, 10**16)
 
 
 def exp(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
-    """Enclosure of exp over x (monotone: endpoint evaluation).
+    """Enclosure of exp over x.
+
+    A box of radius r below 2**-(prec/2) about its midpoint m takes one point
+    evaluation, widened to [e**m (1 - r), e**m (1 + r + r**2)]: for |d| <= r
+    <= 1, 1 - r <= 1 + d <= e**d <= e**r <= 1 + r + r**2.  Points and wider
+    boxes use exp's monotonicity and evaluate at both ends.
 
     For x.hi <= -2**32 the box is [0, 2**ceil(x.hi L)] with L a rational
     lower bound on log2(e), since e**y = 2**(y log2 e) <= 2**(y L) for y <= 0;
@@ -266,7 +292,13 @@ def exp(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
         return RealInterval(rd.ZERO, (1, math.ceil(rd.to_fraction(x.hi) * _LOG2_E_LO)))
     k_guess = max(0, x.hi[1] + abs(x.hi[0]).bit_length(), x.lo[1] + abs(x.lo[0]).bit_length())
     inner = ctx.with_precision(ctx.prec + _GUARD + k_guess + 8)
-    return _monotone_hull(x, ctx, lambda v: _exp_point(v, inner))
+    m, r = _mid_rad(x, inner.prec)
+    if not _narrow(r, ctx):
+        return _monotone_hull(x, ctx, lambda v: _exp_point(v, inner))
+    p = inner.prec
+    up = rd.add(r, rd.mul(r, r, p, rd.CEIL), p, rd.CEIL)
+    factor = RealInterval(rd.sub(rd.ONE, r, p, rd.FLOOR), rd.add(rd.ONE, up, p, rd.CEIL))
+    return _final(ctx, inner.mul(_exp_point(m, inner), factor))
 
 
 def _log_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
@@ -362,20 +394,50 @@ def _trig_hull(
     n1 = math.ceil((lo_f - min_at * math.pi - pad) / two_pi)
     if min_at * math.pi + n1 * two_pi <= hi_f + pad:
         res = ctx.hull(res, ctx.neg(ctx.one()))
-    one = ctx.one()
-    neg_one = ctx.neg(one)
-    lo = neg_one.lo if rd.cmp(res.lo, neg_one.lo) < 0 else res.lo
-    hi = one.hi if rd.cmp(res.hi, one.hi) > 0 else res.hi
+    return _clip_unit(res)
+
+
+def _clip_unit(x: RealInterval) -> RealInterval:
+    """x intersected with [-1, 1], for an x that meets it."""
+    lo = rd.neg(rd.ONE) if rd.cmp(x.lo, rd.neg(rd.ONE)) < 0 else x.lo
+    hi = rd.ONE if rd.cmp(x.hi, rd.ONE) > 0 else x.hi
     return RealInterval(lo, hi)
 
 
+def _trig_ball(
+    f: RealInterval, df: RealInterval, r: rd.MPF, ctx: PrecisionContext, inner: PrecisionContext,
+) -> RealInterval:
+    """f(m) widened by r |f'(m)| + r**2/2 max|f''|, which bounds |f(y) - f(m)| for |y - m| <= r.
+
+    For f = sin or cos, |f''| = |f| <= min(1, |f(m)| + r) on the box.
+    """
+    p = inner.prec
+    curv = rd.add(_magnitude(f), r, p, rd.CEIL)
+    if rd.cmp(curv, rd.ONE) > 0:
+        curv = rd.ONE
+    second = rd.mul_2exp(rd.mul(rd.mul(r, r, p, rd.CEIL), curv, p, rd.CEIL), -1)
+    rad = rd.add(rd.mul(r, _magnitude(df), p, rd.CEIL), second, p, rd.CEIL)
+    return _clip_unit(_final(ctx, inner.widen(f, rad)))
+
+
 def sin_cos(x: RealInterval, ctx: PrecisionContext) -> tuple[RealInterval, RealInterval]:
-    """Enclosures of (sin, cos) over x from one point evaluation per endpoint."""
+    """Enclosures of (sin, cos) over x.
+
+    A box of radius r below 2**-(prec/2) about its midpoint m takes one point
+    evaluation: each of f = sin, cos lies within r |f'(m)| + r**2/2 |f''| of
+    f(m), with f' = (cos, -sin) read from the same evaluation and |f''| <= 1.
+    Points and wider boxes evaluate at both ends and hull in +-1 wherever an
+    extremum may lie between them.
+    """
+    inner = ctx.with_precision(ctx.prec + _GUARD)
+    m, r = _mid_rad(x, inner.prec)
+    if _narrow(r, ctx):
+        s, c = _sin_cos_point(m, inner)
+        return _trig_ball(s, c, r, ctx, inner), _trig_ball(c, s, r, ctx, inner)
     lo_f, hi_f = x.to_floats()
     if hi_f - lo_f >= 2 * math.pi:
         full = _final(ctx, ctx.interval(-1, 1))
         return full, full
-    inner = ctx.with_precision(ctx.prec + _GUARD)
     sa, ca = _sin_cos_point(x.lo, inner)
     sb, cb = (sa, ca) if x.is_point() else _sin_cos_point(x.hi, inner)
     return (
@@ -457,6 +519,14 @@ def real_exponent_of(s: ComplexBox) -> int | None:
     return n
 
 
+# largest NegPowerTable: about 80 MB and a minute to build at 128 bits
+_TABLE_CAP = 10**5
+
+# log(n) enclosures by (n, prec), shared by every neg_power call; cleared past
+# _TABLE_CAP entries
+_log_cache: dict[tuple[int, int], RealInterval] = {}
+
+
 def neg_power(n: int, s: ComplexBox, ctx: PrecisionContext) -> ComplexBox:
     """Enclosure of n**(-s) for an integer n >= 1 over the box s."""
     if n < 1:
@@ -466,13 +536,14 @@ def neg_power(n: int, s: ComplexBox, ctx: PrecisionContext) -> ComplexBox:
     k = real_exponent_of(s)
     if k is not None:
         return ctx.box(ctx.interval(Fraction(1, n**k)))
-    ln_n = log(ctx.interval(n), ctx)
+    key = (n, ctx.prec)
+    ln_n = _log_cache.get(key)
+    if ln_n is None:
+        if len(_log_cache) >= _TABLE_CAP:
+            _log_cache.clear()
+        ln_n = _log_cache[key] = log(ctx.interval(n), ctx)
     w = ComplexBox(ctx.neg(ctx.mul(s.re, ln_n)), ctx.neg(ctx.mul(s.im, ln_n)))
     return cexp(w, ctx)
-
-
-# largest NegPowerTable: about 80 MB and a minute to build at 128 bits
-_TABLE_CAP = 10**5
 
 
 class NegPowerTable:

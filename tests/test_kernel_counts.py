@@ -17,8 +17,8 @@ ctx = PrecisionContext(128)
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Call counters on rd.mul, rd.div and functions._sin_cos_point."""
-    tally = {"mul": 0, "div": 0, "sin_cos_point": 0}
+    """Call counters on rd.mul, rd.div and the point evaluators in functions."""
+    tally = {"mul": 0, "div": 0, "sin_cos_point": 0, "exp_point": 0, "log_point": 0}
 
     def counting(owner, attr, key):
         inner = getattr(owner, attr)
@@ -32,6 +32,8 @@ def counts(monkeypatch):
     counting(rd, "mul", "mul")
     counting(rd, "div", "div")
     counting(fn, "_sin_cos_point", "sin_cos_point")
+    counting(fn, "_exp_point", "exp_point")
+    counting(fn, "_log_point", "log_point")
     return tally
 
 
@@ -56,10 +58,26 @@ def test_int_point_skips_division(counts):
     assert counts["div"] == 0
 
 
-def test_neg_power_evaluates_each_endpoint_once(counts):
+def test_neg_power_evaluates_sin_cos_once_per_narrow_box(counts):
+    # -Im(s) log 3 is a box about an ulp wide: one evaluation at its midpoint
     s = ComplexBox(ctx.interval(Fraction(3, 2)), ctx.interval(Fraction(7, 3)))
     fn.neg_power(3, s, ctx)
-    assert counts["sin_cos_point"] == 2
+    assert counts["sin_cos_point"] == 1
+
+
+def test_exp_evaluates_a_narrow_box_once_and_a_wide_box_at_both_ends(counts):
+    fn.exp(ctx.interval(Fraction(1, 3)), ctx)
+    assert counts["exp_point"] == 1
+    counts["exp_point"] = 0
+    fn.exp(ctx.interval(Fraction(1, 10), Fraction(3, 10)), ctx)
+    assert counts["exp_point"] == 2
+
+
+def test_neg_power_reuses_log_n_at_the_same_precision(counts):
+    fn.neg_power(3, ComplexBox(ctx.interval(Fraction(3, 2)), ctx.interval(5)), ctx)
+    counts["log_point"] = 0
+    fn.neg_power(3, ComplexBox(ctx.interval(Fraction(7, 3)), ctx.interval(-2)), ctx)
+    assert counts["log_point"] == 0
 
 
 @pytest.fixture
