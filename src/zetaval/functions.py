@@ -509,11 +509,14 @@ def exact_point_int(x: RealInterval) -> int | None:
     return rd.exact_int(x.lo)
 
 
-def real_exponent_of(s: ComplexBox) -> int | None:
-    """s as an exact small nonnegative integer, when the box is that point."""
-    if not (s.im.is_point() and s.im.lo == rd.ZERO):
-        return None
-    n = exact_point_int(s.re)
+def real_exponent_of(s: ComplexBox | RealInterval) -> int | None:
+    """s as an exact integer in [0, 64], when the box or interval is that point;
+    there n**-s is taken as the exact rational 1/n**s."""
+    if isinstance(s, ComplexBox):
+        if not (s.im.is_point() and s.im.lo == rd.ZERO):
+            return None
+        s = s.re
+    n = exact_point_int(s)
     if n is None or n < 0 or n > 64:
         return None
     return n

@@ -82,6 +82,15 @@ def test_lseries_runs(capsys):
     assert "re in [" in out
 
 
+def test_lseries_at_a_large_integer_s_is_fast(capsys):
+    # past the exact-rational range s <= 64, so p**s is never formed
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "elliptic", "--coeffs", "0,-1,1,0,0", "--lseries", "--s", "1000000",
+                       "--primes-up-to", "1000")
+    assert code == 0 and "re in [" in out
+    assert time.monotonic() - t0 < 5
+
+
 def test_moduli_and_hilbert(capsys):
     code, out, _ = run(capsys, "moduli-volume", "--g", "2")
     assert code == 0 and "1/12" in out

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from zetaval import functions as fn
+from zetaval import rounding as rd
 from zetaval.elliptic import (
     ReductionKind,
     count_points,
@@ -268,3 +271,77 @@ def test_hasse_weil_endpoints_reproducible():
     a = hasse_weil_partial(e, ctx.interval(2), 200, ctx)
     b = hasse_weil_partial(e, ctx.interval(2), 200, ctx)
     assert a.value.re.lo == b.value.re.lo and a.value.re.hi == b.value.re.hi
+
+
+# 11a3, 37a1, and a curve with bad primes 2 and 223
+HW_CURVES = (CURVE_11A3, (0, 0, 1, -1, 0), (1, -1, 0, -4, 4))
+
+
+def _local_traces(coeffs, primes_to):
+    """(p, t_p, good) for p <= primes_to: a brute-force count at good primes,
+    ``trace`` at bad ones."""
+    e = derive_quantities(*coeffs)
+    out = []
+    for p in primes_up_to(primes_to):
+        if e.disc % p:
+            out.append((p, p + 1 - brute_point_count(coeffs, p), True))
+        else:
+            out.append((p, trace(e, p).t_p, False))
+    return out
+
+
+@pytest.mark.parametrize("primes_to", (100, 1000))
+@pytest.mark.parametrize("coeffs", HW_CURVES)
+def test_hasse_weil_product_encloses_the_exact_rational(coeffs, primes_to):
+    e = derive_quantities(*coeffs)
+    local = _local_traces(coeffs, primes_to)
+    for s in (2, 3):
+        num = den = 1
+        for p, t_p, good in local:
+            q = p**s
+            if good:
+                num, den = num * q * q, den * (q * q - t_p * q + p)
+            else:
+                num, den = num * q, den * (q - t_p)
+        exact = Fraction(num, den)
+        raw = hasse_weil_partial(e, ctx.interval(s), primes_to, ctx).raw_value
+        assert raw.re.contains(exact), (coeffs, s, primes_to)
+        assert raw.im.lo == raw.im.hi == rd.ZERO
+        # one outward rounding per factor and per product: about 2 ulp each
+        bound = 4 * len(local) * exact / 2**ctx.prec
+        assert raw.re.width_fraction() <= bound, (coeffs, s, primes_to)
+
+
+def _mp_partial_product(local, s):
+    prod = mpmath.mpf(1)
+    for p, t_p, good in local:
+        x = mpmath.power(p, -s)
+        prod /= 1 - t_p * x + (p * x * x if good else 0)
+    return prod
+
+
+def _mp_fraction(x) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("coeffs", HW_CURVES)
+def test_hasse_weil_at_real_noninteger_s_matches_mpmath(coeffs):
+    e = derive_quantities(*coeffs)
+    local = _local_traces(coeffs, 300)
+    point = ctx.interval(Fraction(5, 2))
+    box = ctx.interval(Fraction(12, 5), Fraction(13, 5))
+    with mpmath.workprec(2 * ctx.prec + 32):
+        for s, samples in ((point, [Fraction(5, 2)]),
+                           (box, [rd.to_fraction(box.lo), Fraction(5, 2), rd.to_fraction(box.hi)])):
+            raw = hasse_weil_partial(e, s, 300, ctx).raw_value
+            assert raw.im.lo == raw.im.hi == rd.ZERO
+            for sample in samples:
+                want = _mp_partial_product(local, mpmath.mpf(sample.numerator) / sample.denominator)
+                assert raw.re.contains(_mp_fraction(want)), (coeffs, sample)
+
+
+def test_hasse_weil_leaves_the_log_cache_alone():
+    before = dict(fn._log_cache)
+    hasse_weil_partial(derive_quantities(*CURVE_11A3), ctx.interval(Fraction(5, 2)), 2000, ctx)
+    assert fn._log_cache == before

@@ -8,7 +8,7 @@ import pytest
 from zetaval import functions as fn
 from zetaval import kernels
 from zetaval import rounding as rd
-from zetaval.elliptic import derive_quantities, trace
+from zetaval.elliptic import derive_quantities, hasse_weil_partial, trace
 from zetaval.interval import ComplexBox, PrecisionContext
 from zetaval.zeta import EMParams, zeta_auto, zeta_em
 
@@ -126,3 +126,17 @@ def test_point_counts_near_1e6_never_loop_over_the_field(monkeypatch):
     assert calls == []
     kernels.count_points_batch((0, -1, 1, 0, 0), [229])  # the last prime counted naively
     assert calls == [229]
+
+
+def test_hasse_weil_at_integer_s_takes_no_complex_step(monkeypatch):
+    calls = []
+    for owner, attr in ((fn, "neg_power"), (PrecisionContext, "cmul"), (PrecisionContext, "cdiv")):
+        inner = getattr(owner, attr)
+
+        def wrapper(*args, _inner=inner, _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+    hasse_weil_partial(derive_quantities(0, -1, 1, 0, 0), ctx.interval(2), 1000, ctx)
+    assert calls == []
