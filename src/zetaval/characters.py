@@ -94,7 +94,8 @@ def _root_of_unity(num: int, den: int, ctx: PrecisionContext) -> ComplexBox:
         re, im = [(1, 0), (0, 1), (-1, 0), (0, -1)][quarter]
         return ctx.box(re, im)
     theta = ctx.mul(ctx.scale_2exp(fn.pi(ctx), 1), ctx.interval(Fraction(num, den)))
-    return ComplexBox(fn.cos(theta, ctx), fn.sin(theta, ctx))
+    s, c = fn.sin_cos(theta, ctx)
+    return ComplexBox(c, s)
 
 
 def char_value(chi: DirichletCharacter, n: int, ctx: PrecisionContext) -> ComplexBox:

@@ -37,8 +37,9 @@ from .errors import DomainError
 from .interval import ComplexBox, PrecisionContext, RealInterval
 from .zeta import Enclosure
 
-_E1_SERIES_MAX = 34
-_ERFC_SERIES_MAX = 6
+# E1 and erfc sum their series up to these arguments and use sandwich bounds above
+_E1_SERIES_MAX: rd.MPF = rd.from_int(34)
+_ERFC_SERIES_MAX: rd.MPF = rd.from_int(6)
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def _e1_sandwich_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
 
 
 def _e1_point(v: rd.MPF, out_prec: int) -> RealInterval:
-    if rd.cmp(v, rd.from_int(_E1_SERIES_MAX)) <= 0:
+    if rd.cmp(v, _E1_SERIES_MAX) <= 0:
         return _e1_series_point(v, out_prec)
     return _e1_sandwich_point(v, PrecisionContext(out_prec + 16))
 
@@ -120,7 +121,7 @@ def _erfc_sandwich_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
 
 
 def _erfc_point(v: rd.MPF, out_prec: int) -> RealInterval:
-    if rd.cmp(v, rd.from_int(_ERFC_SERIES_MAX)) <= 0:
+    if rd.cmp(v, _ERFC_SERIES_MAX) <= 0:
         return _erfc_series_point(v, out_prec)
     return _erfc_sandwich_point(v, PrecisionContext(out_prec + 16))
 

@@ -22,18 +22,18 @@ The series:
 * ``pi``/``ln2``: Machin's atan(1/5), atan(1/239) and 2 atanh(1/3), all
   series of rationals.
 * ``exp``: argument halved until |r| <= 1/2, Taylor series, then repeated
-  interval squaring.  A box of radius r < 2**-(prec/2) is evaluated once, at
-  its midpoint m, as [e**m (1 - r), e**m (1 + r + r**2)]; points and wider
+  interval squaring.  A point or a box of radius r < 2**-(prec/2) is evaluated
+  once, at its midpoint m, as [e**m (1 - r), e**m (1 + r + r**2)]; wider
   boxes are evaluated at both ends.
 * ``log``: mantissa reduction to u in [~0.70, ~1.42), atanh series in
   z = (u-1)/(u+1), plus n*ln2.
-* ``sin``/``cos``: reduction mod pi/2 with an enclosed pi, alternating Taylor
-  series for |r| <= 1.  One point evaluation yields both sin and cos, so
-  ``sin_cos`` encloses both over a box of radius r < 2**-(prec/2) from one
-  evaluation at its midpoint m, as f(m) +- (r |f'(m)| + r**2/2 |f''|), and
-  over points and wider boxes from one evaluation per endpoint plus +-1
-  wherever an extremum may lie between them; ``sin`` and ``cos`` take one
-  half of it, and ``cexp`` uses it whole.
+* ``sin``/``cos``: reduction v = k pi/2 + r with k an exact integer and pi
+  enclosed log2|v| bits past the working precision, alternating Taylor series
+  for |r| < 0.8.  One point evaluation yields both sin and cos, so
+  ``sin_cos`` encloses both over a point or a box of radius r < 2**-(prec/2)
+  from one evaluation at its midpoint m, as f(m) +- (r |f'(m)| + r**2/2 |f''|);
+  a wider box hulls its two end values with +-1 at each multiple of pi/2 it
+  may contain.  ``sin`` and ``cos`` take one half of it, ``cexp`` all of it.
 * ``atan``: halving transform t = x/(1+sqrt(1+x^2)) until |x| <= 1/4, then the
   alternating Maclaurin series.
 * ``euler_gamma``: no series; 50 truncated decimal digits as an exact
@@ -108,8 +108,8 @@ def _mid_rad(x: RealInterval, prec: int) -> tuple[rd.MPF, rd.MPF]:
 
 
 def _narrow(r: rd.MPF, ctx: PrecisionContext) -> bool:
-    """True for a nonzero radius below 2**-(prec/2): one point evaluation suffices."""
-    return r[0] != 0 and _term_small(r, -(ctx.prec // 2))
+    """True for a radius below 2**-(prec/2), zero included: one point evaluation suffices."""
+    return _term_small(r, -(ctx.prec // 2))
 
 
 def _magnitude(t: RealInterval) -> rd.MPF:
@@ -120,7 +120,7 @@ def _magnitude(t: RealInterval) -> rd.MPF:
 
 def _term_small(mag: rd.MPF, cut_exp: int) -> bool:
     """True once a term of magnitude at most mag is below 2**cut_exp."""
-    return mag[0] == 0 or mag[1] + mag[0].bit_length() <= cut_exp
+    return mag[0] == 0 or rd._top(mag) <= cut_exp
 
 
 def _sum_series(
@@ -257,8 +257,7 @@ def _exp_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
     """Tiny enclosure of exp(v) at the (already guarded) context precision."""
     if v[0] == 0:
         return ctx.one()
-    top = v[1] + abs(v[0]).bit_length()
-    k = max(0, top + 1)  # after scaling by 2**-k, |r| <= 1/2
+    k = max(0, rd._top(v) + 1)  # after scaling by 2**-k, |r| <= 1/2
     rv = rd.mul_2exp(v, -k)
     r = RealInterval(rv, rv)
     # |R_n| <= |t_{n+1}| / (1 - |r|) <= 2 |t_n| |r| / (n+1) <= |t_n| / (n+1)
@@ -274,14 +273,15 @@ def _exp_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
 _EXP_UNDERFLOW: rd.MPF = (-1, 32)
 # L: log2(e) = 1.44269504088896340735..., rounded down
 _LOG2_E_LO = Fraction(14426950408889634, 10**16)
+_LOG_SPLIT: rd.MPF = (181, -8)  # 181/256 ~ 1/sqrt(2): log doubles mantissas below it
 
 
 def exp(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     """Enclosure of exp over x.
 
-    A box of radius r below 2**-(prec/2) about its midpoint m takes one point
-    evaluation, widened to [e**m (1 - r), e**m (1 + r + r**2)]: for |d| <= r
-    <= 1, 1 - r <= 1 + d <= e**d <= e**r <= 1 + r + r**2.  Points and wider
+    A point, or a box of radius r below 2**-(prec/2) about its midpoint m,
+    takes one point evaluation, widened to [e**m (1 - r), e**m (1 + r + r**2)]:
+    for |d| <= r <= 1, 1 - r <= 1 + d <= e**d <= e**r <= 1 + r + r**2.  Wider
     boxes use exp's monotonicity and evaluate at both ends.
 
     For x.hi <= -2**32 the box is [0, 2**ceil(x.hi L)] with L a rational
@@ -290,7 +290,7 @@ def exp(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     """
     if rd.cmp(x.hi, _EXP_UNDERFLOW) <= 0:
         return RealInterval(rd.ZERO, (1, math.ceil(rd.to_fraction(x.hi) * _LOG2_E_LO)))
-    k_guess = max(0, x.hi[1] + abs(x.hi[0]).bit_length(), x.lo[1] + abs(x.lo[0]).bit_length())
+    k_guess = max(0, rd._top(x.hi), rd._top(x.lo))
     inner = ctx.with_precision(ctx.prec + _GUARD + k_guess + 8)
     m, r = _mid_rad(x, inner.prec)
     if not _narrow(r, ctx):
@@ -308,7 +308,7 @@ def _log_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
     n = e + b
     u = RealInterval((m, -b), (m, -b))  # v * 2**-n, in [1/2, 1)
     # keep |z| small: push u into [~0.707, ~1.414)
-    if rd.cmp(u.lo, rd.from_fraction(Fraction(181, 256), 64, rd.FLOOR)) < 0:
+    if rd.cmp(u.lo, _LOG_SPLIT) < 0:
         u = ctx.scale_2exp(u, 1)
         n -= 1
     z = ctx.div(ctx.sub(u, ctx.one()), ctx.add(u, ctx.one()))
@@ -342,65 +342,48 @@ def _sin_cos_series(r: RealInterval, ctx: PrecisionContext) -> tuple[RealInterva
     return _sum_series(ctx, r, sin_terms), _sum_series(ctx, ctx.one(), cos_terms)
 
 
+def _reduce(v: rd.MPF, ctx: PrecisionContext) -> tuple[int, RealInterval]:
+    """k = round(v / (pi/2)) as an exact integer, and an enclosure of r = v - k pi/2.
+
+    pi/2 is enclosed, and r computed, at P = prec + max(0, t - _GUARD) bits for
+    2**(t-1) <= |v| < 2**t, so the slack of k pi/2 is about 2**(t - P).  With
+    v = num 2**e and the enclosure's lower end h = den 2**e,
+    k = floor(num/den + 1/2): so |v/h - k| <= 1/2, and |r| is at most pi/4
+    plus that slack, under 0.8.
+    """
+    rctx = ctx.with_precision(ctx.prec + max(0, rd._top(v) - _GUARD))
+    half_pi = rctx.scale_2exp(pi(rctx), -1)
+    (num, ev), (den, eh) = v, half_pi.lo
+    num <<= max(0, ev - eh)
+    den <<= max(0, eh - ev)
+    k = (2 * num + den) // (2 * den)
+    return k, rctx.sub(RealInterval(v, v), rctx.mul(rctx.interval(k), half_pi))
+
+
+def _rotate(k: int, r: RealInterval, ctx: PrecisionContext) -> tuple[RealInterval, RealInterval]:
+    """(sin, cos) of k pi/2 + r from the Taylor series at r and k mod 4."""
+    s, c = _sin_cos_series(r, ctx)
+    for _ in range(k % 4):  # sin(y + pi/2) = cos y, cos(y + pi/2) = -sin y
+        s, c = c, ctx.neg(s)
+    return s, c
+
+
 def _sin_cos_point(v: rd.MPF, ctx: PrecisionContext) -> tuple[RealInterval, RealInterval]:
-    """Tiny enclosures of (sin v, cos v) via reduction mod pi/2."""
+    """Tiny enclosures of (sin v, cos v) via exact reduction mod pi/2."""
     if v[0] == 0:
         return ctx.zero(), ctx.one()
-    half_pi = ctx.scale_2exp(pi(ctx), -1)
-    # integer multiple estimate from 64-bit directed arithmetic
-    q = rd.div(v, half_pi.lo, 64, rd.FLOOR)
-    k = round(rd.to_float(q, rd.FLOOR))
-    point = RealInterval(v, v)
-    r = ctx.sub(point, ctx.mul(ctx.interval(k), half_pi))
-    # the estimate can be off by one near multiples of pi/2
-    eight_tenths = ctx.interval(Fraction(4, 5))
-    for _ in range(4):
-        if rd.cmp(r.lo, eight_tenths.hi) > 0:
-            k += 1
-            r = ctx.sub(point, ctx.mul(ctx.interval(k), half_pi))
-        elif rd.cmp(r.hi, rd.neg(eight_tenths.hi)) < 0:
-            k -= 1
-            r = ctx.sub(point, ctx.mul(ctx.interval(k), half_pi))
-        else:
-            break
-    s, c = _sin_cos_series(r, ctx)
-    k %= 4
-    if k == 0:
-        return s, c
-    if k == 1:
-        return c, ctx.neg(s)
-    if k == 2:
-        return ctx.neg(s), ctx.neg(c)
-    return ctx.neg(c), s
+    return _rotate(*_reduce(v, ctx), ctx)
 
 
-def _trig_hull(
-    fa: RealInterval, fb: RealInterval, lo_f: float, hi_f: float, max_at: float,
-    ctx: PrecisionContext,
-) -> RealInterval:
-    """Range of sin or cos over [lo_f, hi_f] from its endpoint values fa, fb.
-
-    The maxima sit at max_at*pi and the minima at (max_at+1)*pi modulo 2*pi;
-    the hull takes in +-1 wherever such a point may fall inside the argument.
-    """
-    res = ctx.hull(_final(ctx, fa), _final(ctx, fb))
-    min_at = max_at + 1
-    two_pi = 2 * math.pi
-    # conservative crossing tests: padding only ever widens the hull
-    pad = 1e-9 * (1 + abs(lo_f) + abs(hi_f))
-    n0 = math.ceil((lo_f - max_at * math.pi - pad) / two_pi)
-    if max_at * math.pi + n0 * two_pi <= hi_f + pad:
-        res = ctx.hull(res, ctx.one())
-    n1 = math.ceil((lo_f - min_at * math.pi - pad) / two_pi)
-    if min_at * math.pi + n1 * two_pi <= hi_f + pad:
-        res = ctx.hull(res, ctx.neg(ctx.one()))
-    return _clip_unit(res)
+_TRIG_WIDE: rd.MPF = (7, 0)  # > 2 pi
+_TRIG_TOP = 4096
+_UNIT = RealInterval(rd.neg(rd.ONE), rd.ONE)
 
 
 def _clip_unit(x: RealInterval) -> RealInterval:
     """x intersected with [-1, 1], for an x that meets it."""
-    lo = rd.neg(rd.ONE) if rd.cmp(x.lo, rd.neg(rd.ONE)) < 0 else x.lo
-    hi = rd.ONE if rd.cmp(x.hi, rd.ONE) > 0 else x.hi
+    lo = _UNIT.lo if rd.cmp(x.lo, _UNIT.lo) < 0 else x.lo
+    hi = _UNIT.hi if rd.cmp(x.hi, _UNIT.hi) > 0 else x.hi
     return RealInterval(lo, hi)
 
 
@@ -423,27 +406,35 @@ def _trig_ball(
 def sin_cos(x: RealInterval, ctx: PrecisionContext) -> tuple[RealInterval, RealInterval]:
     """Enclosures of (sin, cos) over x.
 
-    A box of radius r below 2**-(prec/2) about its midpoint m takes one point
-    evaluation: each of f = sin, cos lies within r |f'(m)| + r**2/2 |f''| of
-    f(m), with f' = (cos, -sin) read from the same evaluation and |f''| <= 1.
-    Points and wider boxes evaluate at both ends and hull in +-1 wherever an
-    extremum may lie between them.
+    A point, or a box of radius r below 2**-(prec/2) about its midpoint m,
+    takes one point evaluation: each of f = sin, cos lies within
+    r |f'(m)| + r**2/2 |f''| of f(m), with f' = (cos, -sin) read from the same
+    evaluation and |f''| <= 1.  A wider box reduces both ends exactly, to
+    ka pi/2 + ra and kb pi/2 + rb, so each multiple j pi/2 inside it has
+    ka + (ra > 0) <= j <= kb - (rb < 0).  Four or more such j give [-1, 1];
+    otherwise each hulls in +-1, of cos for even j and of sin for odd j.  A
+    box at least 7 wide, or with an end at 2**4096 or beyond (where reduction
+    would need pi to that many bits), is [-1, 1] at once.
     """
+    if max(rd._top(x.lo), rd._top(x.hi)) > _TRIG_TOP:
+        return _UNIT, _UNIT
     inner = ctx.with_precision(ctx.prec + _GUARD)
     m, r = _mid_rad(x, inner.prec)
     if _narrow(r, ctx):
         s, c = _sin_cos_point(m, inner)
         return _trig_ball(s, c, r, ctx, inner), _trig_ball(c, s, r, ctx, inner)
-    lo_f, hi_f = x.to_floats()
-    if hi_f - lo_f >= 2 * math.pi:
-        full = _final(ctx, ctx.interval(-1, 1))
-        return full, full
-    sa, ca = _sin_cos_point(x.lo, inner)
-    sb, cb = (sa, ca) if x.is_point() else _sin_cos_point(x.hi, inner)
-    return (
-        _trig_hull(sa, sb, lo_f, hi_f, 0.5, ctx),
-        _trig_hull(ca, cb, lo_f, hi_f, 0.0, ctx),
-    )
+    if rd.cmp(rd.sub(x.hi, x.lo, 64, rd.FLOOR), _TRIG_WIDE) >= 0:
+        return _UNIT, _UNIT
+    (ka, ra), (kb, rb) = _reduce(x.lo, inner), _reduce(x.hi, inner)
+    first, last = ka + (rd.sign(ra.lo) > 0), kb - (rd.sign(rb.hi) < 0)
+    if last - first >= 3:
+        return _UNIT, _UNIT
+    (sa, ca), (sb, cb) = _rotate(ka, ra, inner), _rotate(kb, rb, inner)
+    s, c = ctx.hull(_final(ctx, sa), _final(ctx, sb)), ctx.hull(_final(ctx, ca), _final(ctx, cb))
+    for j in range(first, last + 1):  # a maximum for j = 0, 1 mod 4, a minimum for 2, 3
+        peak = ctx.one() if j % 4 < 2 else ctx.neg(ctx.one())
+        s, c = (ctx.hull(s, peak), c) if j % 2 else (s, ctx.hull(c, peak))
+    return _clip_unit(s), _clip_unit(c)
 
 
 def sin(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
@@ -459,6 +450,9 @@ def cos(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
 # ---------------------------------------------------------------------------
 
 
+_ATAN_SERIES_MAX: rd.MPF = (1, -2)  # atan's Maclaurin series runs at |x| <= 1/4
+
+
 def _atan_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
     if v[0] == 0:
         return ctx.zero()
@@ -470,8 +464,7 @@ def _atan_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
         add_half_pi = True
         x = ctx.div(ctx.one(), x)
     doublings = 0
-    quarter = rd.from_fraction(Fraction(1, 4), 64, rd.CEIL)
-    while rd.cmp(x.hi, quarter) > 0:
+    while rd.cmp(x.hi, _ATAN_SERIES_MAX) > 0:
         denom = ctx.add(ctx.one(), ctx.sqrt(ctx.add(ctx.one(), ctx.sq(x))))
         x = ctx.div(x, denom)
         doublings += 1

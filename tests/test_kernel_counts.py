@@ -8,6 +8,7 @@ import pytest
 from zetaval import functions as fn
 from zetaval import kernels
 from zetaval import rounding as rd
+from zetaval.characters import char_value, make_elementary
 from zetaval.elliptic import derive_quantities, hasse_weil_partial, trace
 from zetaval.interval import ComplexBox, PrecisionContext
 from zetaval.zeta import EMParams, zeta_auto, zeta_em
@@ -62,6 +63,12 @@ def test_neg_power_evaluates_sin_cos_once_per_narrow_box(counts):
     # -Im(s) log 3 is a box about an ulp wide: one evaluation at its midpoint
     s = ComplexBox(ctx.interval(Fraction(3, 2)), ctx.interval(Fraction(7, 3)))
     fn.neg_power(3, s, ctx)
+    assert counts["sin_cos_point"] == 1
+
+
+def test_char_value_evaluates_sin_cos_once_per_root_of_unity(counts):
+    # chi(3) = exp(2 pi i/6) for the character mod 7 with m = 1
+    char_value(make_elementary(7, 1), 3, ctx)
     assert counts["sin_cos_point"] == 1
 
 

@@ -151,11 +151,23 @@ def test_series_endpoints_pinned(group):
     assert not moved, f"{group}: endpoints moved at {moved}"
 
 
+def test_sin_cos_makes_no_float_decision(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sin_cos converted an endpoint to a float")
+
+    monkeypatch.setattr(rd, "to_float", refuse)
+    for prec in PRECS:
+        ctx = PrecisionContext(prec)
+        for a in dict.fromkeys(GRID["sin"] + GRID["cos"]):
+            fn.sin_cos(_arg(ctx, a), ctx)
+
+
 # fmt: off
 # What these pins held while sin and cos evaluated every box at both ends:
-# each is next to an extremum that the float-padded crossing test of
-# _trig_hull could not rule out, so it hulled in +-1.  The midpoint path for
-# narrow boxes moved exactly these, and each new pin must lie inside its old box.
+# each is next to an extremum that the float crossing test of that path,
+# padded for rounding, could not rule out, so it hulled in +-1.  The midpoint
+# path for narrow boxes moved exactly these, and each new pin must lie inside
+# its old box.
 ENDPOINT_PATH_PINS: dict = {
     ('sin', '1.5707963267948966@128'): ((0x7fffffffffffffffffffffffffff8519, -127), (0x1, 0)),
     ('sin', '1.5707963267948966@512'): ((0xffffffffffffffffffffffffffff0a325972508d7a8a720cbc0505c51b58b283ad16b01888020e8c85f84c89d077ba4b440f9fb1f1bef58f468da09d9e8f1be1, -512), (0x1, 0)),
