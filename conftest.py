@@ -1,4 +1,22 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent / "src"))
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The N of every NegPowerTable built."""
+    from zetaval import functions as fn
+
+    built = []
+    table = fn.NegPowerTable
+
+    def counting(N, s, c):
+        built.append(N)
+        return table(N, s, c)
+
+    monkeypatch.setattr(fn, "NegPowerTable", counting)
+    return built

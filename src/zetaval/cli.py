@@ -97,6 +97,19 @@ def _digits_for(prec: int) -> int:
     return max(17, int(prec * 0.30103) + 2)
 
 
+def _digits_within(box: ComplexBox, target: Fraction, digits: int) -> int:
+    """Significant digits, at least ``digits``, that print box no wider than target:
+    rounding to d digits moves an endpoint x by under 10 |x| 10**-d, and both
+    ends of a component must fit in the slack between its width and the target."""
+    target_lo = rd.from_fraction(target, 64, rd.FLOOR)
+    for c in (box.re, box.im):
+        slack = rd.sub(target_lo, rd.sub(c.hi, c.lo, 64, rd.CEIL), 64, rd.FLOOR)
+        if rd.sign(slack) > 0:
+            gap = max(rd._top(c.lo), rd._top(c.hi)) - rd._top(slack) + 1
+            digits = max(digits, -(-gap * 30103 // 100000) + 2)  # 0.30103 > log10(2)
+    return digits
+
+
 def _interval_payload(iv: RealInterval, digits: int) -> dict:
     lo, hi = iv.to_decimal(digits)
     return {"lo": lo, "hi": hi}
@@ -195,7 +208,9 @@ def _rational_record(cmd: str, params: dict, fr: Fraction, t0: float, note: str 
 def _run_zeta(args, ctx: PrecisionContext, digits: int, t0: float) -> OutputRecord:
     s = ComplexBox(ctx.interval(_parse_exact(args.re)), ctx.interval(_parse_exact(args.im)))
     if args.width is not None:
-        enc = zeta_auto(s, _parse_exact(args.width), ctx)
+        target = _parse_exact(args.width)
+        enc = zeta_auto(s, target, ctx)
+        digits = _digits_within(enc.value, target, digits)
         params = {
             "re": args.re,
             "im": args.im,

@@ -16,10 +16,11 @@ node, via Euler's criterion for odd p; the point count is then
 ``p + 1 - t_p`` with t_p = 0, 1, -1.  Primes are refused from 2**31 on.
 
 The partial Hasse-Weil product at real s multiplies real-interval inverse local
-factors over p <= N.  At an integer s = k in [0, 64] each factor is the exact
+factors over p <= N.  At an integer s = k >= 0 each factor is the exact
 rational q^2 / (q^2 - t_p q + p), or q / (q - t_p) at a bad prime, with
-q = p^k, rounded outward once; at any other s it is 1 / (1 - t_p x + p x^2)
-with x = exp(-s log p).  A two-sided tail factor [exp(-B), exp(B)] follows, with
+q = p^k, rounded outward once, while q has at most 4096 bits; at any other s
+it is 1 / (1 - t_p x + p x^2) with x = exp(-s log p).  A two-sided tail
+factor [exp(-B), exp(B)] follows, with
 
     B = 2 N^(3/2-sigma) / ((sigma-3/2)(1-2^(1/2-sigma))),
 
@@ -190,32 +191,18 @@ def trace(curve: WeierstrassCurve, p: int) -> ReductionInfo:
     return ReductionInfo(p=p, A_p=p + 1 - t_p, t_p=t_p, kind=kind)
 
 
-def _local_factor_inverse_den(
-    info: ReductionInfo, s: ComplexBox, ctx: PrecisionContext
-) -> ComplexBox:
-    """Denominator of the local Euler factor at p for the given reduction."""
-    p = info.p
-    ps = fn.neg_power(p, s, ctx)  # p^-s
-    t_term = ctx.cmul(ctx.box(info.t_p), ps)
-    den = ctx.csub(ctx.box(1), t_term)
-    if info.kind is ReductionKind.GOOD:
-        p_one_2s = ctx.cmul(ctx.box(p), ctx.cmul(ps, ps))  # p^(1-2s)
-        den = ctx.cadd(den, p_one_2s)
-    return den
-
-
 def _euler_factor(info: ReductionInfo, s: RealInterval, ctx: PrecisionContext) -> RealInterval:
     """Euler factor 1 / (1 - t_p p^-s + p^(1-2s)) at a good prime, and
     1 / (1 - t_p p^-s) at a bad one, over a real interval s.
 
-    At an exact integer s = k in [0, 64] it is the rational q^2 / (q^2 - t_p q + p),
-    or q / (q - t_p), with q = p^k, rounded outward once.  Elsewhere
-    x = p^-s = exp(-s log p) is a real interval and the factor is
-    1 / (1 - t_p x + p x^2), or 1 / (1 - t_p x).
+    At an integer s = k where q = p^k fits fn.real_exponent_of's bit budget,
+    it is the rational q^2 / (q^2 - t_p q + p), or q / (q - t_p), rounded
+    outward once.  Elsewhere x = p^-s = exp(-s log p) is a real interval and
+    the factor is 1 / (1 - t_p x + p x^2), or 1 / (1 - t_p x).
     """
     p, t_p = info.p, info.t_p
     good = info.kind is ReductionKind.GOOD
-    k = fn.real_exponent_of(s)
+    k = fn.real_exponent_of(s, p)
     if k is not None:
         q = p**k
         num, den = (q * q, q * q - t_p * q + p) if good else (q, q - t_p)
@@ -239,9 +226,10 @@ def local_zeta(
     if curve.disc == 0 or curve.disc % p == 0:
         raise DomainError(f"p={p} is not a good prime for this model")
     info = trace(curve, p)
-    ps = fn.neg_power(p, s, ctx)
-    num = _local_factor_inverse_den(info, s, ctx)
+    ps = fn.neg_power(p, s, ctx)  # p^-s
     one = ctx.box(1)
+    p_one_2s = ctx.cmul(ctx.box(p), ctx.cmul(ps, ps))  # p^(1-2s)
+    num = ctx.cadd(ctx.csub(one, ctx.cmul(ctx.box(info.t_p), ps)), p_one_2s)
     den1 = ctx.csub(one, ps)
     den2 = ctx.csub(one, ctx.cmul(ctx.box(p), ps))
     for d in (den1, den2):

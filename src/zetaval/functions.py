@@ -502,17 +502,21 @@ def exact_point_int(x: RealInterval) -> int | None:
     return rd.exact_int(x.lo)
 
 
-def real_exponent_of(s: ComplexBox | RealInterval) -> int | None:
-    """s as an exact integer in [0, 64], when the box or interval is that point;
-    there n**-s is taken as the exact rational 1/n**s."""
+_EXACT_POWER_BITS = 4096
+
+
+def real_exponent_of(s: ComplexBox | RealInterval, n: int) -> int | None:
+    """s as an exact integer k >= 0, when the box or interval is that point and
+    n**k has at most _EXACT_POWER_BITS bits; there n**-s is the exact rational
+    1/n**k, and past that budget exp and log cost less than the big integers."""
     if isinstance(s, ComplexBox):
         if not (s.im.is_point() and s.im.lo == rd.ZERO):
             return None
         s = s.re
-    n = exact_point_int(s)
-    if n is None or n < 0 or n > 64:
+    k = exact_point_int(s)
+    if k is None or k < 0 or k * n.bit_length() > _EXACT_POWER_BITS:
         return None
-    return n
+    return k
 
 
 # largest NegPowerTable: about 80 MB and a minute to build at 128 bits
@@ -529,7 +533,7 @@ def neg_power(n: int, s: ComplexBox, ctx: PrecisionContext) -> ComplexBox:
         raise DomainError("neg_power needs n >= 1")
     if n == 1:
         return ctx.box(1)
-    k = real_exponent_of(s)
+    k = real_exponent_of(s, n)
     if k is not None:
         return ctx.box(ctx.interval(Fraction(1, n**k)))
     key = (n, ctx.prec)

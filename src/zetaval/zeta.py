@@ -29,7 +29,7 @@ from . import functions as fn
 from . import rounding as rd
 from .exact import bernoulli
 from .errors import DomainError, PoleProximity
-from .interval import ComplexBox, PrecisionContext, RealInterval, certify_nonzero
+from .interval import ComplexBox, PrecisionContext, RealInterval, _as_fraction, certify_nonzero
 
 
 @dataclass(frozen=True)
@@ -137,52 +137,43 @@ def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure
     )
 
 
-def zeta_auto(
-    s: ComplexBox,
-    target_width,
-    ctx: PrecisionContext,
-    start: EMParams = EMParams(32, 6),
-    max_rounds: int = 40,
-) -> Enclosure:
-    """Grow (N, k, precision) until the enclosure width meets target_width.
+# the finest target zeta_auto accepts is 2**-(prec + _TARGET_BITS_PAST_PREC)
+_TARGET_BITS_PAST_PREC = 384
 
-    Doubles N, increments k, and adds 32 bits per round.  The rounds that run
-    are at most max_rounds, and stop before N passes the NegPowerTable cap.
-    Each round first bounds its remainder at its own precision; the widening
-    makes every component at least twice that radius wide, so a round whose
-    remainder alone exceeds half the target is skipped without summing.  The
-    last round always sums: if it misses the target, its enclosure is
-    returned with ``meets_target=False``; it is still a certified enclosure,
-    just wider than requested.  A box outside the domain raises first.  Two
-    kinds of target raise DomainError up front, since no round can meet them:
-    one that is not positive, and one below 2**-(prec + 32*rounds), finer
-    than the grid of the last round's precision for |zeta| >~ 1.
+
+def zeta_auto(s: ComplexBox, target_width, ctx: PrecisionContext) -> Enclosure:
+    """One zeta_em call with (N, k, precision) chosen to meet target_width.
+
+    With 2**b about 4/target, k = ceil(b/3), and N starts near
+    2(T + 2k + 3)/(3 pi), T >= |Im s|, so each factor |s+i|/(2 pi N) of the
+    remainder is near 3/4 or below.  N doubles until four times the remainder
+    bound is within the target, so the widening takes at most half of it; the
+    sum runs at b + log2(N) + 32 bits, so its rounding stays far below the
+    other half.  ``meets_target`` is False when the box is still wider, as
+    when the input box alone is; it is still a certified enclosure.  After
+    the domain check, DomainError comes up front for a target that is not
+    positive or below 2**-(prec + 384), and for an N past the table cap.
     """
-    from .interval import _as_fraction  # local import to keep module API tidy
-
     _check_domain(s)
     target = _as_fraction(target_width)
     if target <= 0:
         raise DomainError("zeta_auto needs a positive target width")
-    rounds = max(1, min(max_rounds, (fn._TABLE_CAP // start.N).bit_length()))
-    bits = ctx.prec + 32 * rounds
+    bits = ctx.prec + _TARGET_BITS_PAST_PREC
     if target < Fraction(1, 2**bits):
-        raise DomainError(
-            f"zeta_auto cannot reach a target width below 2**-{bits} in {rounds} rounds"
-        )
-    N, k = start.N, start.k
-    prec = ctx.prec
-    for i in range(rounds):
-        step_ctx = PrecisionContext(prec)
-        if i == rounds - 1 or 2 * rd.to_fraction(_em_remainder(s, N, k, step_ctx)) <= target:
-            enc = zeta_em(s, EMParams(N, k), step_ctx)
-            width = max(enc.value.re.width_fraction(), enc.value.im.width_fraction())
-            if width <= target:
-                return replace(enc, meets_target=True)
+        raise DomainError(f"zeta_auto cannot reach a target width below 2**-{bits}")
+    b = target.denominator.bit_length() - target.numerator.bit_length() + 2
+    k = max(1, -(-b // 3))
+    T = math.ceil(rd.to_fraction(ctx.abs(s.im).hi))
+    N = max(2, math.ceil(2 * (T + 2 * k + 3) / (3 * Fraction(355, 113))))  # 355/113 ~ pi
+    target_lo = rd.from_fraction(target, ctx.prec, rd.FLOOR)
+    while N <= fn._TABLE_CAP and rd.cmp(rd.mul_2exp(_em_remainder(s, N, k, ctx), 2), target_lo) > 0:
         N *= 2
-        k += 1
-        prec += 32
-    return replace(enc, meets_target=False)
+    if N > fn._TABLE_CAP:
+        raise DomainError(f"zeta_auto would need N = {N}, past the cap of {fn._TABLE_CAP}")
+    wp = max(ctx.prec, b + N.bit_length() + 32)
+    enc = zeta_em(s, EMParams(N, k), PrecisionContext(wp))
+    widths = (rd.sub(c.hi, c.lo, wp, rd.CEIL) for c in (enc.value.re, enc.value.im))
+    return replace(enc, meets_target=all(rd.cmp(w, target_lo) <= 0 for w in widths))
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,7 @@ def test_resource_refusals_are_fast_domain_errors(capsys):
     for argv in (
         ("zeta", "--re", "2", "--N", "100000000"),
         ("zeta", "--re", "2", "--width", "1e-1000"),
+        ("zeta", "--re", "2", "--im", "1e6", "--width", "1e-10"),
     ):
         t0 = time.monotonic()
         code, _, err = run(capsys, *argv)
@@ -186,17 +187,40 @@ def test_resource_refusals_are_fast_domain_errors(capsys):
 
 def test_far_real_part_prints_power_of_ten_bounds(capsys):
     # 2**-s at Re s = 1e400 has a binary exponent near -1e400; at 1e4000,
-    # exp squaring its way down used to run for over a minute
-    for re_s in ("1e400", "1000000", "1e4000"):
+    # exp squaring its way down used to run for over a minute; in width mode
+    # the remainder and the box width once went through an exact rational
+    # with a 2**(10**20)-sized denominator and overflowed
+    width = ("--width", "1e-10")
+    for argv in (
+        ("--re", "1e400"),
+        ("--re", "1000000"),
+        ("--re", "1e4000"),
+        ("--re", "1e20", *width),
+        ("--re", "1e400", *width),
+        ("--re", "1e40000", *width),
+    ):
         t0 = time.monotonic()
-        code, out, err = run(capsys, "zeta", "--re", re_s)
-        assert code == 0 and "Traceback" not in err, re_s
-        assert time.monotonic() - t0 < 5, re_s
+        code, out, err = run(capsys, "zeta", *argv)
+        assert code == 0 and "Traceback" not in err, argv
+        assert time.monotonic() - t0 < 5, argv
+        assert "--width" not in argv or "meets_target=True" in out, argv
         lines = dict(line.split(" in ", 1) for line in out.splitlines() if " in [" in line)
         re_lo, re_hi = lines["re"].strip("[]").split(", ")
         assert Fraction(Decimal(re_lo)) <= 1 <= Fraction(Decimal(re_hi))
         im_lo, im_hi = lines["im"].strip("[]").split(", ")
         assert im_lo.startswith("-1e-") and im_hi.startswith("1e-")
+
+
+def test_width_mode_prints_a_box_no_wider_than_the_target(capsys):
+    # the default 40 digits printed endpoints about 1e-39 apart for 1e-40
+    for target in ("1e-40", "1e-150"):
+        code, out, _ = run(capsys, "--json", "zeta", "--re", "2", "--im", "1", "--width", target)
+        payload = json.loads(out)
+        assert code == 0 and payload["params"]["meets_target"]
+        for part in ("re", "im"):
+            ends = payload["value"][part]
+            width = Fraction(Decimal(ends["hi"])) - Fraction(Decimal(ends["lo"]))
+            assert 0 < width <= Fraction(Decimal(target)), (target, part)
 
 
 def test_exponent_past_print_limit_prints_readable_bounds(capsys):

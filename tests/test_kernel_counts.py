@@ -10,8 +10,9 @@ from zetaval import kernels
 from zetaval import rounding as rd
 from zetaval.characters import char_value, make_elementary
 from zetaval.elliptic import derive_quantities, hasse_weil_partial, trace
+from zetaval.errors import DomainError
 from zetaval.interval import ComplexBox, PrecisionContext
-from zetaval.zeta import EMParams, zeta_auto, zeta_em
+from zetaval.zeta import zeta_auto
 
 ctx = PrecisionContext(128)
 
@@ -87,36 +88,20 @@ def test_neg_power_reuses_log_n_at_the_same_precision(counts):
     assert counts["log_point"] == 0
 
 
-@pytest.fixture
-def tables(monkeypatch):
-    """The N of every NegPowerTable built."""
-    built = []
-    table = fn.NegPowerTable
-
-    def counting(N, s, c):
-        built.append(N)
-        return table(N, s, c)
-
-    monkeypatch.setattr(fn, "NegPowerTable", counting)
-    return built
-
-
 def test_zeta_auto_sums_only_the_answering_round(tables):
-    # s = 1.5+18i at 1e-27 is answered by round 3; rounds 1 and 2 are ruled
-    # out by their remainder bounds alone
+    # the parameters are chosen from the remainder bound before any sum, so
+    # the one table built is the one that answers
     s = ComplexBox(ctx.interval(Fraction(3, 2)), ctx.interval(18))
     enc = zeta_auto(s, Fraction(1, 10**27), ctx)
-    assert enc.meets_target and enc.params.N == 128
-    assert tables == [128]
+    assert enc.meets_target
+    assert tables == [enc.params.N]
 
 
-def test_zeta_auto_skips_a_round_whose_remainder_exceeds_half_the_target(tables):
-    # a target between the remainder and twice the remainder of round 2
-    s = ComplexBox(ctx.interval(Fraction(5, 2)), ctx.interval(25))
-    second = zeta_em(s, EMParams(64, 7), PrecisionContext(ctx.prec + 32))
-    tables.clear()
-    enc = zeta_auto(s, Fraction(3, 2) * rd.to_fraction(second.remainder_radius), ctx)
-    assert enc.meets_target and tables == [128]
+def test_zeta_auto_refuses_a_cut_past_the_table_cap_before_any_table(tables):
+    s = ComplexBox(ctx.interval(2), ctx.interval(10**6))
+    with pytest.raises(DomainError, match="cap"):
+        zeta_auto(s, Fraction(1, 10**10), ctx)
+    assert tables == []
 
 
 def test_point_counts_near_1e6_never_loop_over_the_field(monkeypatch):
