@@ -49,8 +49,15 @@ class DedekindParams:
     direct_terms: int = 10_000
 
 
+# largest p of siegel_zeta_minus1: the sum takes about 1 s at 4*10**7 on a
+# 2-core VM, and its cost grows like p
+_SIEGEL_P_CAP = 4 * 10**7
+
+
 def siegel_zeta_minus1(p: int) -> Fraction:
-    """Exact zeta_K(-1) for K = Q(sqrt(p)), prime p = 1 (mod 4)."""
+    """Exact zeta_K(-1) for K = Q(sqrt(p)), prime p = 1 (mod 4), p <= _SIEGEL_P_CAP."""
+    if p > _SIEGEL_P_CAP:
+        raise DomainError(f"p={p} exceeds the cap of {_SIEGEL_P_CAP}")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p % 4 != 1:

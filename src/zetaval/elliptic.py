@@ -6,14 +6,12 @@ j-invariant exactly and asserts the two consistency identities
 
 Reduction mod p is taken on the model as given: no minimal-model reduction is
 performed, so bad-prime data describes the supplied equation, not an
-isomorphism class.  At a good prime the trace comes from the exact point count
-of ``kernels.count_points_batch`` (baby-step giant-step, about p**(1/4) group
-operations).  At a bad prime the singular x-coordinate is the root of
-``gcd(g, g')`` over F_p, with ``g = 4x**3 + b2 x**2 + 2 b4 x + b6`` (a scan of
-the at most nine points at p = 2, 3), and the tangent cone
-``lambda**2 + a1 lambda - (3 x0 + a2)`` decides cusp / split node / nonsplit
-node, via Euler's criterion for odd p; the point count is then
-``p + 1 - t_p`` with t_p = 0, 1, -1.  Primes are refused from 2**31 on.
+isomorphism class.  At every prime, good or bad, A_p is the exact point count
+of ``kernels.count_points_batch`` and t_p = p + 1 - A_p.  At a bad prime the
+nonsingular points of the cubic form a group of order p, p - 1 or p + 1
+(Silverman, *The Arithmetic of Elliptic Curves*, III.2.5), so the count alone
+says cusp, split node or nonsplit node: t_p = 0, 1 or -1.  Primes are refused
+from 2**31 on.
 
 The partial Hasse-Weil product at real s multiplies real-interval inverse local
 factors over p <= N.  At an integer s = k >= 0 each factor is the exact
@@ -115,80 +113,21 @@ def count_points(curve: WeierstrassCurve, p: int) -> int:
     return trace(curve, p).A_p
 
 
-def _poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p of two polynomials given constant term first."""
-
-    def trim(h: list[int]) -> list[int]:
-        h = [c % p for c in h]
-        while h and h[-1] == 0:
-            h.pop()
-        return h
-
-    f, g = trim(f), trim(g)
-    while g:
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            q, shift = f[-1] * inv, len(f) - len(g)
-            f = trim([c - q * g[i - shift] if i >= shift else c for i, c in enumerate(f)])
-        f, g = g, f
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _singular_x(curve: WeierstrassCurve, p: int) -> int:
-    """x-coordinate of the singular point of the reduction at a bad prime p."""
-    if p <= 3:
-        a1, a2, a3, a4, a6 = curve.coeffs()
-        hits = {
-            x
-            for x in range(p)
-            for y in range(p)
-            if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
-            and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0
-            and (2 * y + a1 * x + a3) % p == 0
-        }
-        if len(hits) != 1:
-            raise AssertionError(f"expected exactly one singular point mod {p}")
-        return hits.pop()
-    # completing the square, v^2 = g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6; the
-    # singular x is the double root of g: gcd(g, g') is x - x0 at a node and
-    # (x - x0)^2 at a cusp
-    g = [curve.b6, 2 * curve.b4, curve.b2, 4]
-    h = _poly_gcd(g, [2 * curve.b4, 2 * curve.b2, 12], p)
-    if len(h) == 2:
-        return -h[0] % p
-    if len(h) == 3:
-        return -h[1] * pow(2, -1, p) % p
-    raise AssertionError("expected exactly one singular x-coordinate")
+def _reduction(curve: WeierstrassCurve, p: int, a_p: int) -> ReductionInfo:
+    """Reduction data from the exact count A_p; at a bad prime t_p = 0, 1, -1
+    names a cusp, a split node or a nonsplit node."""
+    t_p = p + 1 - a_p
+    if curve.disc % p:
+        kind = ReductionKind.GOOD
+    else:
+        kind = {0: ReductionKind.CUSP, 1: ReductionKind.SPLIT_NODE, -1: ReductionKind.NONSPLIT_NODE}[t_p]
+    return ReductionInfo(p=p, A_p=a_p, t_p=t_p, kind=kind)
 
 
 def trace(curve: WeierstrassCurve, p: int) -> ReductionInfo:
     """Trace of Frobenius at good p, or the singular-fiber value at bad p."""
     _require_prime(p)
-    if curve.disc % p != 0:
-        a_p = kernels.count_points_batch(curve.coeffs(), [p])[0]
-        return ReductionInfo(p=p, A_p=a_p, t_p=1 + p - a_p, kind=ReductionKind.GOOD)
-    x0 = _singular_x(curve, p)
-    # tangent cone at the singular point: lambda^2 + q11 lambda + q20
-    q11 = curve.a1 % p
-    q20 = (-3 * x0 - curve.a2) % p
-    if p == 2:
-        if q11 == 0:
-            kind = ReductionKind.CUSP
-        elif q20 == 0:
-            kind = ReductionKind.SPLIT_NODE
-        else:
-            kind = ReductionKind.NONSPLIT_NODE
-    else:
-        d = (q11 * q11 - 4 * q20) % p
-        if d == 0:
-            kind = ReductionKind.CUSP
-        elif pow(d, (p - 1) // 2, p) == 1:
-            kind = ReductionKind.SPLIT_NODE
-        else:
-            kind = ReductionKind.NONSPLIT_NODE
-    t_p = {ReductionKind.CUSP: 0, ReductionKind.SPLIT_NODE: 1, ReductionKind.NONSPLIT_NODE: -1}[kind]
-    return ReductionInfo(p=p, A_p=p + 1 - t_p, t_p=t_p, kind=kind)
+    return _reduction(curve, p, kernels.count_points_batch(curve.coeffs(), [p])[0])
 
 
 def _euler_factor(info: ReductionInfo, s: RealInterval, ctx: PrecisionContext) -> RealInterval:
@@ -264,19 +203,10 @@ def hasse_weil_partial(
         raise DomainError(f"primes_to={primes_to} exceeds the cap of {_PRIMES_TO_CAP}")
 
     primes = primes_up_to(primes_to)
-    good = [p for p in primes if curve.disc % p != 0]
-    counts = kernels.count_points_batch(curve.coeffs(), good)
-    infos: dict[int, ReductionInfo] = {
-        p: ReductionInfo(p=p, A_p=a, t_p=1 + p - a, kind=ReductionKind.GOOD)
-        for p, a in zip(good, counts)
-    }
-    for p in primes:
-        if p not in infos:
-            infos[p] = trace(curve, p)
-
+    counts = kernels.count_points_batch(curve.coeffs(), primes)
     acc = ctx.one()
-    for p in primes:  # ascending, pinned for reproducible endpoints
-        acc = ctx.mul(acc, _euler_factor(infos[p], s, ctx))
+    for p, a_p in zip(primes, counts):  # ascending, pinned for reproducible endpoints
+        acc = ctx.mul(acc, _euler_factor(_reduction(curve, p, a_p), s, ctx))
 
     # tail: log-product bound B, then the factor lies in [e^-B, e^B]
     sigma_lo = RealInterval(s.lo, s.lo)

@@ -1,11 +1,18 @@
 """Exact point counts of Weierstrass curves over F_p, in pure Python.
 
+Every reduction is counted here, singular ones included: the count is the
+only source of A_p for ``elliptic``, which reads the kind of a bad fiber off
+t_p = p + 1 - A_p.
+
 For p above ``_NAIVE_MAX`` the count runs on the short model
 ``y**2 = x**3 + A x + B`` with ``A = -27 c4`` and ``B = -54 c6``, which is
 isomorphic to the given model over F_p for p >= 5 (an affine change of
-variables, so it has the same number of points).  The count is the
-Shanks-Mestre method (Cohen, *A Course in Computational Algebraic Number
-Theory*, 7.4.3):
+variables, so it has the same number of points).  A singular short model has
+one singular point; the count is then ``p + 1 - (-2AB/p)``: a node at
+``x0 = -3B/(2A)`` is split when its tangent slopes, square roots of
+``3 x0``, lie in F_p, and a cusp (A = B = 0) has trace 0.  A nonsingular
+count is the Shanks-Mestre method (Cohen, *A Course in Computational
+Algebraic Number Theory*, 7.4.3):
 
 * the candidates start as the Hasse interval
   ``[p + 1 - isqrt(4p), p + 1 + isqrt(4p)]``;

@@ -103,6 +103,7 @@ def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure
     """Euler-Maclaurin enclosure of zeta over the box s."""
     _check_domain(s)
     N, k = params.N, params.k
+    radius = _em_remainder(s, N, k, ctx)  # first, so a k past the Bernoulli cap fails at once
 
     table = fn.NegPowerTable(N, s, ctx)
     partial = ctx.box(0)
@@ -128,7 +129,6 @@ def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure
             n_shift = _scale_real(n_shift, inv_n2, ctx)
 
     raw = ctx.cadd(big_s, big_b)
-    radius = _em_remainder(s, N, k, ctx)
     return Enclosure(
         value=ctx.cwiden(raw, radius),
         params=params,

@@ -1,5 +1,6 @@
 """Curve invariants, reduction data, local factors, and the partial product."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -156,10 +157,12 @@ def test_bad_reduction_classification_is_exhaustive():
 
 def test_bad_prime_counts_match_brute_force():
     # bad primes 2 and 3 (x^3 + 1), 2 and 223, a nonsplit and a split node at
-    # 1193 and 2819, cusps at 347 and 739, and three models singular everywhere
+    # 1193 and 2819, cusps at 347 and 739, and three models singular everywhere;
+    # then every model with coefficients in {-1, 0, 1}, at its bad primes <= 50
     curves = [(0, 0, 0, 0, 1), (1, -1, 0, -4, 4), (6, 5, 6, 3, -3), (-6, 6, -9, 3, 4),
               (7, 1, -4, -7, -6), (5, 5, -2, 1, -6), (0, -1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 0)]
-    primes = (2, 3, 5, 7, 11, 13, 223, 347, 739, 1193, 2819)
+    curves += itertools.product((-1, 0, 1), repeat=5)
+    primes = sorted({*primes_up_to(50), 223, 347, 739, 1193, 2819})
     kinds = set()
     for coeffs in curves:
         e = derive_quantities(*coeffs)
