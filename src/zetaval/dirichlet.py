@@ -12,10 +12,11 @@ the 2/pi prefactor sometimes seen for this formula fails the class-number
 cross-check, which the test suite demonstrates explicitly.
 
 E1 and erfc both use their (convergent) power series wherever the series is
-usable at all, summed by the shared helper in ``functions`` with its
-alternating tail rule once the terms decrease (k > x for E1, k > x^2 for
-erfc).  The working precision is raised by ~1.44x (resp. ~1.44x^2) bits to
-absorb the cancellation.  Both switch to two-sided exponential sandwiches only
+usable at all, summed on integers by the fixed-point kernel of ``functions``
+(``_fixed_series``) with its alternating tail rule once the terms decrease
+(k > x for E1, k > x^2 for erfc).  The fixed-point scale 2**-w takes
+~1.44x (resp. ~1.44x^2) bits past the output precision to absorb the
+cancellation.  Both switch to two-sided exponential sandwiches only
 far out, where the sandwich gap is negligible against e^(-x).  Cutting over at
 x = 1, as the plain formulas suggest, would leave enclosures about 1e-3 wide
 and could never certify 8 digits; the series region therefore extends to
@@ -28,6 +29,7 @@ stored 50-digit bracket.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import functions as fn
@@ -51,17 +53,20 @@ class L1Params:
 
 
 def _e1_series_point(v: rd.MPF, out_prec: int) -> RealInterval:
-    """-gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k/(k k!), alternating tail."""
+    """-gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k/(k k!), alternating tail.
+
+    The sum runs on the fixed-point kernel at w = out_prec + boost, from floor
+    and ceil of x 2**w (each term grows with x): p_k = p_{k-1} x/k, and
+    term_k = p_k/k shrinks once k > x.
+    """
     xf = rd.to_float(v, rd.CEIL)
     boost = int(1.45 * xf) + 48
     ctx = PrecisionContext(out_prec + boost)
-    x = RealInterval(v, v)
-    # p_k = (-1)^(k+1) x^k / k!, term_k = p_k / k; terms shrink once k > x
-    powers = fn._power_terms(ctx, ctx.neg(ctx.one()), ctx.neg(x), itertools.count(1))
-    terms = (ctx.div(p, ctx.interval(k)) for k, p in enumerate(powers, 1))
-    total = fn._sum_series(ctx, ctx.zero(), terms, stop_after=True, min_terms=xf,
-                           max_terms=64 * out_prec)
-    return ctx.sub(ctx.sub(total, fn.euler_gamma(ctx)), fn.log(x, ctx))
+    w = ctx.prec
+    xs = fn._fixed(v, w)
+    lo, hi = fn._fixed_series(xs, xs, w, ((k, k) for k in itertools.count(2)), min_terms=xf)
+    total = fn._from_fixed(lo, hi, w, ctx.prec)
+    return ctx.sub(ctx.sub(total, fn.euler_gamma(ctx)), fn.log(RealInterval(v, v), ctx))
 
 
 def _e1_sandwich_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
@@ -95,15 +100,20 @@ def _two_over_sqrt_pi(ctx: PrecisionContext) -> RealInterval:
 
 
 def _erfc_series_point(v: rd.MPF, out_prec: int) -> RealInterval:
-    """1 - (2/sqrt(pi)) sum (-1)^k x^(2k+1)/(k! (2k+1)), alternating tail."""
+    """1 - (2/sqrt(pi)) sum (-1)^k x^(2k+1)/(k! (2k+1)), alternating tail.
+
+    The sum runs on the fixed-point kernel at w = out_prec + boost, from floor
+    and ceil of x 2**w: p_k = p_{k-1} x^2/k, and term_k = p_k/(2k+1) shrinks
+    once k > x^2.
+    """
     xf = rd.to_float(v, rd.CEIL)
     boost = int(1.45 * xf * xf) + 48
     ctx = PrecisionContext(out_prec + boost)
-    x = RealInterval(v, v)
-    # p_k = (-1)^k x^(2k+1) / k!, term_k = p_k / (2k+1); terms shrink once k > x^2
-    powers = itertools.chain([x], fn._power_terms(ctx, x, ctx.neg(ctx.sq(x)), itertools.count(1)))
-    terms = (ctx.div(p, ctx.interval(2 * k + 1)) for k, p in enumerate(powers))
-    total = fn._sum_series(ctx, ctx.zero(), terms, min_terms=xf * xf, max_terms=64 * out_prec)
+    w = ctx.prec
+    xl, xh = fn._fixed(v, w)
+    steps = ((k, 2 * k + 1) for k in itertools.count(1))
+    lo, hi = fn._fixed_series((xl, xh), (xl * xl, xh * xh), 2 * w, steps, min_terms=xf * xf)
+    total = fn._from_fixed(lo, hi, w, ctx.prec)
     return ctx.sub(ctx.one(), ctx.mul(_two_over_sqrt_pi(ctx), total))
 
 
@@ -134,11 +144,17 @@ def erfc_enclosure(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
 
 
 def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
-    """Enclosure of L(1, chi_Delta) for the real quadratic field Q(sqrt(D))."""
+    """Enclosure of L(1, chi_Delta) for the real quadratic field Q(sqrt(D)).
+
+    At most ceil(sqrt((prec + 64) ln 2 Delta/pi)) of the m terms are summed:
+    from there on e^(-A m^2) <= 2^-(prec+64), so R_m is far below the working
+    ulp and further terms cannot narrow the box.  ``params.m`` is the m used.
+    """
     if m < 1:
         raise DomainError("need at least one series term")
     chi = make_kronecker(D)
     delta = chi.modulus
+    m = min(m, math.ceil(math.sqrt((ctx.prec + 64) * math.log(2) * delta / math.pi)))
     A = ctx.div(fn.pi(ctx), ctx.interval(delta))
     sqrt_delta = ctx.sqrt(ctx.interval(delta))
     sqrt_a = ctx.sqrt(A)

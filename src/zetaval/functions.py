@@ -3,17 +3,22 @@
 Everything here is built from the interval ring operations plus explicit
 truncation-error bounds, so the enclosures are rigorous end to end.
 
-Every truncated series, here and in ``dirichlet``, runs through one summation
-helper, ``_sum_series``.  A caller supplies only its term recurrence, as an
-iterator of signed terms that computes each term once, and picks one of three
-tail rules; the helper adds terms until one drops below 2**-(prec+8) and then
-widens the sum outward by the tail:
+Truncated series run through one of two summation helpers.  The point
+series of sin/cos, log and (in ``dirichlet``) E1 and erfc take their argument
+as an exact dyadic X 2**-w, or a floor/ceil pair of it, and run on the
+fixed-point kernel ``_fixed_series``: every term is a pair of Python integers
+[l, h] at the scale 2**-w, the lower end rounded down and the upper end up, so
+containment follows from the rounding directions alone; one ``RealInterval``
+is formed at the end.  exp's Taylor sum and the constant and atan series add
+``RealInterval`` terms with ``_sum_series``.  Both stop at a tiny term and
+widen by one of three tail rules:
 
-* alternating: |first omitted term|, valid once the terms decrease in
-  magnitude (the caller's ``min_terms`` says from where);
-* geometric: |first omitted term| * c, with c >= 1/(1 - q) for a term ratio
-  q (9/8 for ln2, upper side only since its terms are positive; 33/32 for
-  log);
+* alternating: the first omitted term, valid once the terms decrease in
+  magnitude (the caller's ``min_terms`` says from where; the kernel widens
+  toward that term's sign only, by Leibniz);
+* geometric: the first omitted term times c, with c >= 1/(1 - q) for a term
+  ratio q (9/8 for ln2, upper side only since its terms are positive; 33/32
+  for log);
 * ratio: |last added term| / (n+1) after n terms, exp's Taylor remainder
   for |r| <= 1/2.
 
@@ -25,11 +30,12 @@ The series:
   interval squaring.  A point or a box of radius r < 2**-(prec/2) is evaluated
   once, at its midpoint m, as [e**m (1 - r), e**m (1 + r + r**2)]; wider
   boxes are evaluated at both ends.
-* ``log``: mantissa reduction to u in [~0.70, ~1.42), atanh series in
-  z = (u-1)/(u+1), plus n*ln2.
+* ``log``: mantissa reduction to u in [~0.70, ~1.42), atanh series in the
+  exact rational z = (u-1)/(u+1) on the fixed-point kernel, plus n*ln2.
 * ``sin``/``cos``: reduction v = k pi/2 + r with k an exact integer and pi
   enclosed log2|v| bits past the working precision, alternating Taylor series
-  for |r| < 0.8.  One point evaluation yields both sin and cos, so
+  for |r| < 0.8 on the fixed-point kernel at a point next to mid(r), widened
+  by a Lipschitz bound over r.  One point evaluation yields both sin and cos, so
   ``sin_cos`` encloses both over a point or a box of radius r < 2**-(prec/2)
   from one evaluation at its midpoint m, as f(m) +- (r |f'(m)| + r**2/2 |f''|);
   a wider box hulls its two end values with +-1 at each multiple of pi/2 it
@@ -59,6 +65,8 @@ from .interval import ComplexBox, PrecisionContext, RealInterval
 
 _GUARD = 32
 _REF_STEP = 512
+# bits kept below the top of a fixed-point series' value (see _fixed_series)
+_FIXED_GUARD = 16
 
 # truncated (not rounded) leading decimals of the Euler-Mascheroni constant,
 # so gamma lies in [digits, digits + 10**-50]
@@ -129,7 +137,6 @@ def _sum_series(
     terms: Iterator[RealInterval],
     *,
     stop_after: bool = False,
-    min_terms: float = 0,
     max_terms: int | None = None,
     geometric: Fraction | None = None,
     ratio: bool = False,
@@ -138,10 +145,10 @@ def _sum_series(
     """Add signed terms onto total until one is tiny, then widen by the tail.
 
     Terms carry their own signs: an alternating series feeds its recurrence
-    a negated ratio.  A term is tiny once it is below 2**-(prec+8) and more than min_terms
-    terms have been added.  By default the tiny term is left out; with
-    stop_after it is added and the sum stops after it.  Past max_terms added
-    terms the series counts as divergent.  The tail rule sets the radius:
+    a negated ratio.  A term is tiny once it is below 2**-(prec+8).  By
+    default the tiny term is left out; with stop_after it is added and the
+    sum stops after it.  Past max_terms added terms the series counts as
+    divergent.  The tail rule sets the radius:
 
     * alternating (default): |first omitted term|;
     * geometric: |first omitted term| * c, for c bounding 1/(1 - ratio);
@@ -156,7 +163,7 @@ def _sum_series(
             total = ctx.add(total, t)
             n += 1
         mag = _magnitude(t)
-        if n > min_terms and _term_small(mag, cut):
+        if _term_small(mag, cut):
             break
         if max_terms is not None and n > max_terms:
             raise RuntimeError(f"series failed to converge after {n} terms")
@@ -174,6 +181,70 @@ def _sum_series(
     if upper_only:
         return RealInterval(total.lo, rd.add(total.hi, radius, ctx.prec, rd.CEIL))
     return ctx.widen(total, radius)
+
+
+def _fixed(x: rd.MPF, w: int) -> tuple[int, int]:
+    """floor(x 2**w) and ceil(x 2**w): x on the fixed-point grid of step 2**-w."""
+    m, e = x
+    s = e + w
+    if s >= 0:
+        return m << s, m << s
+    return m >> -s, -(-m >> -s)
+
+
+def _from_fixed(lo: int, hi: int, w: int, prec: int) -> RealInterval:
+    """[lo 2**-w, hi 2**-w] rounded outward to prec bits."""
+    return RealInterval(rd.round_to(lo, -w, prec, rd.FLOOR), rd.round_to(hi, -w, prec, rd.CEIL))
+
+
+def _fixed_series(
+    lead: tuple[int, int],
+    y: tuple[int, int],
+    shift: int,
+    steps: Iterable[tuple[int, int]],
+    *,
+    min_terms: float = 0,
+    geometric: Fraction | None = None,
+) -> tuple[int, int]:
+    """Sum t_0 - t_1 + t_2 - ... (t_0 + t_1 + ... with geometric) on integers at a scale 2**-w.
+
+    Every term is a nonnegative t_j = p_j / e_j, with p_0 = t_0 and
+    p_j = p_{j-1} u / d_j for the j-th pair (d_j, e_j) of steps; ``lead``
+    brackets t_0 2**w and ``y`` brackets u 2**shift, each as a pair (l, h) of
+    nonnegative integers.  Each p_j and t_j is carried as integers
+    l <= 2**w t_j <= h, the lower end by floor shifts and divisions and the
+    upper end by ceiling ones, so the sum of the brackets contains the sum of
+    the terms; no error is counted.  The sum stops at the first term with
+    h <= 1 (at most one unit of 2**-w) once more than min_terms terms are in,
+    and adds the tail:
+
+    * alternating (default): between 0 and the first omitted term (Leibniz),
+      valid once the terms decrease in magnitude, which min_terms must ensure;
+    * geometric = c: the terms are all added, and the tail lies between 0 and
+      the first omitted term times c, for a term ratio q with 1/(1 - q) <= c.
+
+    Returns (lo, hi) with lo 2**-w <= sum <= hi 2**-w.
+    """
+    lo, hi = pl, ph = lead
+    yl, yh = y
+    alternating = geometric is None
+    n = 1
+    for d, e in steps:
+        pl = (pl * yl >> shift) // d
+        ph = -((-ph * yh >> shift) // d)
+        tl, th = (pl // e, -(-ph // e)) if e > 1 else (pl, ph)
+        if th <= 1 and n > min_terms:
+            break
+        if alternating and n & 1:
+            lo, hi = lo - th, hi - tl
+        else:
+            lo, hi = lo + tl, hi + th
+        n += 1
+    if not alternating:
+        return lo, hi - (-th * geometric.numerator // geometric.denominator)
+    if n & 1:
+        return lo - th, hi
+    return lo, hi + th
 
 
 def _power_terms(
@@ -273,7 +344,6 @@ def _exp_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
 _EXP_UNDERFLOW: rd.MPF = (-1, 32)
 # L: log2(e) = 1.44269504088896340735..., rounded down
 _LOG2_E_LO = Fraction(14426950408889634, 10**16)
-_LOG_SPLIT: rd.MPF = (181, -8)  # 181/256 ~ 1/sqrt(2): log doubles mantissas below it
 
 
 def exp(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
@@ -302,20 +372,29 @@ def exp(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
 
 
 def _log_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
-    """Tiny enclosure of log(v) for v > 0 at the guarded context precision."""
+    """Tiny enclosure of log(v) for v > 0 at the guarded context precision.
+
+    v = m 2**e with u = m 2**-b in [~0.707, ~1.414) for one b, so
+    log v = 2 atanh(z) + (e + b) log 2 with z = (m - 2**b)/(m + 2**b) an exact
+    rational of |z| <= 0.172.  The atanh series runs on the fixed-point kernel
+    at floor and ceil of |z| 2**w (each term grows with |z|), w = prec + 16
+    bits below the top of |z|; its terms have ratio below z**2 < 0.03, so the
+    geometric tail factor 33/32 >= 1/(1 - z**2).
+    """
     m, e = v
     b = m.bit_length()
+    if m << 8 < 181 << b:  # u below 181/256 ~ 1/sqrt(2): double it
+        b -= 1
+    num, den = m - (1 << b), m + (1 << b)
+    w = ctx.prec + _FIXED_GUARD + max(0, den.bit_length() - abs(num).bit_length())
+    zl, rem = divmod(abs(num) << w, den)
+    zh = zl + (rem > 0)
+    steps = ((1, 2 * j + 1) for j in itertools.count(1))
+    lo, hi = _fixed_series((zl, zh), (zl * zl, zh * zh), 2 * w, steps, geometric=Fraction(33, 32))
+    if num < 0:
+        lo, hi = -hi, -lo
+    total = _from_fixed(lo, hi, w - 1, ctx.prec)  # 2 atanh z
     n = e + b
-    u = RealInterval((m, -b), (m, -b))  # v * 2**-n, in [1/2, 1)
-    # keep |z| small: push u into [~0.707, ~1.414)
-    if rd.cmp(u.lo, _LOG_SPLIT) < 0:
-        u = ctx.scale_2exp(u, 1)
-        n -= 1
-    z = ctx.div(ctx.sub(u, ctx.one()), ctx.add(u, ctx.one()))
-    z2 = ctx.sq(z)
-    # |z| <= 0.175, so the geometric factor 1/(1 - |z|^2) is below 33/32
-    total = _sum_series(ctx, ctx.zero(), _odd_power_terms(ctx, z, z2), geometric=Fraction(33, 32))
-    total = ctx.scale_2exp(total, 1)
     if n:
         total = ctx.add(total, ctx.mul(ctx.interval(n), ln2(ctx)))
     return total
@@ -334,12 +413,41 @@ def log(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
 # ---------------------------------------------------------------------------
 
 
+def _fixed_arg(r: RealInterval, w: int) -> tuple[int, int]:
+    """X = floor(mid(r) 2**w) and D with |y 2**w - X| <= D for every y in r."""
+    lo, hi = _fixed(r.lo, w)[0], _fixed(r.hi, w)[1]
+    x = (lo + hi) >> 1
+    return x, hi - x
+
+
 def _sin_cos_series(r: RealInterval, ctx: PrecisionContext) -> tuple[RealInterval, RealInterval]:
-    """Alternating Taylor enclosures of (sin r, cos r) for |r| <= 1."""
-    w = ctx.neg(ctx.sq(r))
-    sin_terms = _power_terms(ctx, r, w, ((i + 1) * (i + 2) for i in itertools.count(1, 2)))
-    cos_terms = _power_terms(ctx, ctx.one(), w, ((i + 1) * (i + 2) for i in itertools.count(0, 2)))
-    return _sum_series(ctx, r, sin_terms), _sum_series(ctx, ctx.one(), cos_terms)
+    """Enclosures of (sin r, cos r) for |r| <= 0.8 from the fixed-point kernel.
+
+    Each series runs at the point X 2**-w next to the midpoint of r, with
+    every y in r within D 2**-w of it (``_fixed_arg``).  sin is 1-Lipschitz,
+    so its sum widens by D units; cos' = -sin and |sin t| <= |t|, so cos
+    widens by ceil((|X| + D) D 2**-w) units.  sin runs at w = prec + 16 bits
+    below the top of |r|, so a small r keeps its relative precision; cos,
+    near 1 there, at w = prec + 16.  The terms r**(2j+1)/(2j+1)! and
+    r**(2j)/(2j)! decrease from the first for |r| < 1, so the alternating
+    tail applies.
+    """
+    p = ctx.prec
+    w = p + _FIXED_GUARD - min(0, rd._top(_magnitude(r)))
+    x, d = _fixed_arg(r, w)
+    a = abs(x)
+    lo, hi = _fixed_series((a, a), (a * a, a * a), 2 * w,
+                           ((2 * j * (2 * j + 1), 1) for j in itertools.count(1)))
+    if x < 0:
+        lo, hi = -hi, -lo
+    s = _from_fixed(lo - d, hi + d, w, p)
+    w = p + _FIXED_GUARD
+    x, d = _fixed_arg(r, w)
+    a = abs(x)
+    lo, hi = _fixed_series((1 << w, 1 << w), (a * a, a * a), 2 * w,
+                           ((2 * j * (2 * j - 1), 1) for j in itertools.count(1)))
+    spread = -(-(a + d) * d >> w)
+    return s, _from_fixed(lo - spread, hi + spread, w, p)
 
 
 def _reduce(v: rd.MPF, ctx: PrecisionContext) -> tuple[int, RealInterval]:

@@ -62,7 +62,7 @@ def _mpf_max(first: rd.MPF, *rest: rd.MPF) -> rd.MPF:
     return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealInterval:
     """Closed interval [lo, hi] with bigfloat endpoints, lo <= hi."""
 
@@ -125,7 +125,7 @@ class RealInterval:
         return f"RealInterval({lo!r}, {hi!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexBox:
     """Axis-aligned rectangle re + i*im in the complex plane."""
 

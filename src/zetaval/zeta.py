@@ -44,7 +44,7 @@ class EMParams:
             raise DomainError("EMParams needs N >= 2 and k >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Enclosure:
     """A certified box, the parameters that produced it, and its error budget.
 

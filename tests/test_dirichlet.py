@@ -134,6 +134,16 @@ def test_l_one_remainder_soundness(D):
     assert e40.value.re.intersects(oracle)
 
 
+@pytest.mark.parametrize("D,clamp", [(5, 15), (2, 19), (13, 24)])
+def test_l_one_clamps_the_terms_and_reports_the_m_used(D, clamp):
+    # ceil(sqrt((128 + 64) ln 2 Delta/pi)) for Delta = 5, 8, 13
+    enc = l_one_quadratic(D, 10**9, ctx)
+    assert enc.params.m == clamp
+    same = l_one_quadratic(D, clamp, ctx)
+    assert (enc.value, enc.remainder_radius) == (same.value, same.remainder_radius)
+    assert l_one_quadratic(D, clamp - 1, ctx).params.m == clamp - 1
+
+
 @pytest.mark.parametrize("D", [5, 2, 13])
 def test_l_one_width_shrinks_with_terms(D):
     # widths drop with m until the R_m bound is negligible against the

@@ -1,10 +1,12 @@
 """Exact number theory: Bernoulli numbers, divisor sums, symbols, primes."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from zetaval import exact
 from zetaval.errors import DomainError, NotPrime
 from zetaval.exact import (
     QuadraticDiscriminant,
@@ -40,6 +42,31 @@ def test_bernoulli_base_cases():
 def test_bernoulli_against_independent_recurrence():
     for m in range(0, 16):
         assert bernoulli(m) == _bernoulli_double_sum(m)
+
+
+def _bernoulli_binomial(top: int) -> list[Fraction]:
+    """B_0, ..., B_top from sum_{j<=m} C(m+1, j) B_j = 0, the recurrence the
+    tangent numbers replaced."""
+    b = [Fraction(1)]
+    for m in range(1, top + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def test_bernoulli_matches_the_binomial_recurrence_to_300():
+    assert [bernoulli(m) for m in range(301)] == _bernoulli_binomial(300)
+
+
+def test_bernoulli_1000_fills_cold_within_a_second(monkeypatch):
+    monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2)])
+    start = time.perf_counter()
+    b = bernoulli(1000)
+    assert time.perf_counter() - start < 1.0
+    # von Staudt-Clausen: the denominator of B_1000 is the product of the
+    # primes p with p - 1 dividing 1000
+    primes = [p for p in range(2, 1002) if is_prime(p) and 1000 % (p - 1) == 0]
+    assert b.denominator == math.prod(primes)
+    assert b < 0  # B_2k has sign (-1)**(k+1)
 
 
 def test_bernoulli_odd_vanishes_and_even_alternates():

@@ -70,3 +70,14 @@ def test_hasse_weil_counts_every_prime_in_one_batch(monkeypatch):
     hasse_weil_partial(e, ctx.interval(Fraction(5, 2)), 300, ctx)
     assert calls == [primes_up_to(300)]
     assert [p for p in calls[0] if e.disc % p == 0] == [2, 223]
+
+
+@pytest.mark.parametrize("terms", ["600", "100000000"])
+def test_lfun_sums_no_more_terms_than_can_narrow_the_box(capsys, terms):
+    # past m = ceil(sqrt((prec + 64) ln 2 Delta/pi)) = 15 the terms are below the working ulp
+    t0 = time.monotonic()
+    assert main(["--json", "lfun", "--delta", "5", "--terms", terms]) == 0
+    assert time.monotonic() - t0 < 2
+    clamped = json.loads(capsys.readouterr().out)["value"]
+    assert main(["--json", "lfun", "--delta", "5", "--terms", "15"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == clamped

@@ -19,8 +19,10 @@ ctx = PrecisionContext(128)
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Call counters on rd.mul, rd.div and the point evaluators in functions."""
-    tally = {"mul": 0, "div": 0, "sin_cos_point": 0, "exp_point": 0, "log_point": 0}
+    """Call counters on rd.mul, rd.div, rd.round_to, ctx.mul, ctx.div and the
+    point evaluators in functions."""
+    tally = {"mul": 0, "div": 0, "round_to": 0, "ctx_mul": 0, "ctx_div": 0,
+             "sin_cos_point": 0, "exp_point": 0, "log_point": 0}
 
     def counting(owner, attr, key):
         inner = getattr(owner, attr)
@@ -33,6 +35,9 @@ def counts(monkeypatch):
 
     counting(rd, "mul", "mul")
     counting(rd, "div", "div")
+    counting(rd, "round_to", "round_to")
+    counting(PrecisionContext, "mul", "ctx_mul")
+    counting(PrecisionContext, "div", "ctx_div")
     counting(fn, "_sin_cos_point", "sin_cos_point")
     counting(fn, "_exp_point", "exp_point")
     counting(fn, "_log_point", "log_point")
@@ -86,6 +91,29 @@ def test_neg_power_reuses_log_n_at_the_same_precision(counts):
     counts["log_point"] = 0
     fn.neg_power(3, ComplexBox(ctx.interval(Fraction(7, 3)), ctx.interval(-2)), ctx)
     assert counts["log_point"] == 0
+
+
+def _ring_calls(counts, run) -> tuple[int, int, int]:
+    """ctx.mul, ctx.div and rd.round_to calls made by run()."""
+    counts.update(ctx_mul=0, ctx_div=0, round_to=0)
+    run()
+    return counts["ctx_mul"], counts["ctx_div"], counts["round_to"]
+
+
+def test_sin_cos_point_sums_its_series_on_integers(counts):
+    inner = ctx.with_precision(ctx.prec + fn._GUARD)
+    v = ctx.interval(Fraction(7, 3)).lo
+    fn._sin_cos_point(v, inner)  # fills the pi cache
+    mul, div, rounds = _ring_calls(counts, lambda: fn._reduce(v, inner))
+    point = _ring_calls(counts, lambda: fn._sin_cos_point(v, inner))
+    # beyond the reduction: no ring mul or div, and one rounding per endpoint
+    assert point[:2] == (mul, div) and point[2] - rounds <= 4
+
+
+def test_log_point_sums_its_series_on_integers(counts):
+    # 5/4 = u 2**0 with u in [~0.707, ~1.414): no n log 2 term
+    inner = ctx.with_precision(ctx.prec + fn._GUARD)
+    assert _ring_calls(counts, lambda: fn._log_point((5, -2), inner)) == (0, 0, 2)
 
 
 def test_zeta_auto_sums_only_the_answering_round(tables):

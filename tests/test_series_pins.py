@@ -18,6 +18,7 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from zetaval import dirichlet
@@ -185,6 +186,41 @@ def test_moved_trig_pins_lie_inside_the_endpoint_boxes(group, key):
     assert (lo, hi) != (old_lo, old_hi)
 
 
+# SERIES_PATH_PINS, at the end of the file, holds what these groups pinned
+# while sin/cos, log's atanh, E1 and erfc summed their series one interval
+# term at a time.  On the fixed-point kernel every raw box moved; each new box
+# must contain the value and meet its old box, and a moved public box must lie
+# inside its old one.
+_MP_FUNCS = {"sin": (mpmath.sin, mpmath.cos), "log": (mpmath.log,),
+             "exp_integral": (mpmath.e1,), "erfc_enclosure": (mpmath.erfc,)}
+
+
+def _mp_exact(f, v: rd.MPF, prec: int) -> Fraction:
+    with mpmath.workprec(2 * prec + 32):
+        y = f(mpmath.ldexp(mpmath.mpf(v[0]), v[1]))
+    sign, man, e, _ = y._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** e
+
+
+@pytest.mark.parametrize("group", ["sin", "raw_sin", "raw_log", "raw_exp_integral",
+                                   "raw_erfc_enclosure"])
+def test_moved_series_pins_contain_the_value_and_meet_the_old_boxes(group):
+    name = group.removeprefix("raw_")
+    points = {key: (v, prec) for key, v, prec in _points(name)}
+    old_pins = SERIES_PATH_PINS[group]
+    assert old_pins.keys() <= PINS[group].keys()
+    for key, old in old_pins.items():
+        new = PINS[group][key]
+        v, prec = points[key]
+        pairs = zip(new, old) if group == "raw_sin" else [(new, old)]
+        for f, ((lo, hi), (old_lo, old_hi)) in zip(_MP_FUNCS[name], pairs):
+            value = _mp_exact(f, v, prec)
+            assert rd.to_fraction(lo) <= value <= rd.to_fraction(hi), (key, f)
+            assert rd.cmp(lo, old_hi) <= 0 and rd.cmp(old_lo, hi) <= 0, (key, f)
+            if not group.startswith("raw_"):
+                assert rd.cmp(old_lo, lo) <= 0 and rd.cmp(hi, old_hi) <= 0, key
+
+
 def _render(v) -> str:
     if isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v):
         return f"({v[0]:#x}, {v[1]})"
@@ -277,7 +313,7 @@ PINS: dict = {
         '[1,2]@128': ((0x6bb5523c2433b8106374f484e2879e19, -127), (0x1, 0)),
         '[0.2,0.4]@128': ((0x196dff233dd2bbf754e94fbdc5301da7, -127), (0x18ec3ae92b676a71f6fd66dea59c7125, -126)),
         '-2.5@512': ((-0x9935786e7e5584057b197d3d34eae4b042be8c7aa29555f2ac8f27960dc60ea35b6c1330811bf66d55fcdbdeec2cb18651a720f7b8ac84603d41f8b1151267f5, -512), (-0x264d5e1b9f9561015ec65f4f4d3ab92c10afa31ea8a5557cab23c9e5837183a8d6db04cc2046fd9b557f36f7bb0b2c619469c83dee2b21180f507e2c454499fd, -510)),
-        '1e-25@512': ((0x3de5a1ebb4fbb1544ea0f76f60fd48812304e26f1f8a35e53112c8783a0ad0c87ffe571062d065b09f8ae4e7dac691c70760682c008a6e6d3db3db3fd5879585, -593), (0xf79687aed3eec5513a83ddbd83f522048c1389bc7e28d794c44b21e0e82b4321fff95c418b4196c27e2b939f6b1a471c1d81a0b00229b9b4f6cf6cff561e561b, -595)),
+        '1e-25@512': ((0x3de5a1ebb4fbb1544ea0f76f60fd48812304e26f1f8a35e53112c8783a0ad0c87ffe571062d065b09f8ae4e7dac691c70760682c008a6e6d3db3db3fd5879585, -593), (0x7bcb43d769f762a89d41eedec1fa91024609c4de3f146bca622590f07415a190fffcae20c5a0cb613f15c9cfb58d238e0ec0d0580114dcda7b67b67fab0f2b0b, -594)),
         '0.5@512': ((0xf57743a2582f7f43b25e1b27ec1bdb3325e8b69f95e279ab16606d27a541b68fb66b5d147539f6eab9fd1d325d77ed981a08cf701eac46dda52c533bd11d6f9f, -513), (0x7abba1d12c17bfa1d92f0d93f60ded9992f45b4fcaf13cd58b303693d2a0db47db35ae8a3a9cfb755cfe8e992ebbf6cc0d0467b80f56236ed296299de88eb7d, -508)),
         '1.5707963267948966@512': ((0xffffffffffffffffffffffffffff0a325972508d7a8a720cbc0505c51b58b283ad16b01888020e8c85f84c89d077ba4b440f9fb1f1bef58f468da09d9e8f1be1, -512), (0x7fffffffffffffffffffffffffff85192cb92846bd4539065e0282e28dac5941d68b580c4401074642fc2644e83bdd25a207cfd8f8df7ac7a346d04ecf478df1, -511)),
         '3.141592653589793@512': ((0x225db7fd32ff0f4d3afd081f591bd6f07ed04a47fe0bb835bb3cefceb5bd57bbd11488f010104563c16a5b11e543d636f7a6cb58cb927f89ddbf7b677237747b, -561), (0x8976dff4cbfc3d34ebf4207d646f5bc1fb41291ff82ee0d6ecf3bf3ad6f55eef445223c04041158f05a96c47950f58dbde9b2d632e49fe27771ded9dc8fdd1ed, -563)),
@@ -420,21 +456,107 @@ PINS: dict = {
     },
     'raw_log': {
         '1e-20@128': ((-0xb834f1551552d71ca4ec8bb66387ccb31bb6a91b, -154), (-0x17069e2aa2aa5ae3949d9176cc70f9966376d523, -151)),
-        '0.3@128': ((-0x9a1bc7e5ed39037282a0e5ac830855f76615b889, -159), (-0x2686f1f97b4e40dca0a8396b20c2157dd9856e21, -157)),
-        '0.70703125@128': ((-0xb1801859d56249dc18ce51fff99479cd4bbb97d, -157), (-0x58c00c2ceab124ee0c6728fffcca3ce6a5ddcbd7, -160)),
+        '0.3@128': ((-0x134378fcbda7206e50541cb590610abeecc2b711, -156), (-0x4d0de3f2f69c81b9415072d641842afbb30adc43, -158)),
+        '0.70703125@128': ((-0xb1801859d56249dc18ce51fff99479cd4bbb97bb, -161), (-0x58c00c2ceab124ee0c6728fffcca3ce6a5ddcbdd, -160)),
         '1@128': ((0x0, 0), (0x0, 0)),
-        '1.5@128': ((0xcf991f65fcc25f95b46bb37a02910c0cfa41ff53, -161), (0x33e647d97f3097e56d1aecde80a443033e907fdd, -159)),
+        '1.5@128': ((0xcf991f65fcc25f95b46bb37a02910c0cfa41ff65, -161), (0x19f323ecbf984bf2b68d766f405221819f483fed, -158)),
         '2@128': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193, -159), (0xb17217f7d1cf79abc9e3b39803f2f6af40f34327, -160)),
         '1e30@128': ((0x8a27b4ffcffe21557bb168c8caa5d9865466ee29, -153), (0x2289ed3ff3ff88555eec5a3232a976619519bb8b, -151)),
         '0.5@128': ((-0xb17217f7d1cf79abc9e3b39803f2f6af40f34327, -160), (-0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193, -159)),
-        '1e-20@512': ((-0xb834f1551552d71ca4ec8bb66387ccb31b33e83850f5775224b7a622826c38cf3bbac38d9e121473ff8cfeb03776d0c2377aad1e514edb91ba7356a5039e5c8c1a1ac919, -538), (-0xb834f1551552d71ca4ec8bb66387ccb31b33e83850f5775224b7a622826c38cf3bbac38d9e121473ff8cfeb03776d0c2377aad1e514edb91ba7356a5039e5c8c1a1ac915, -538)),
-        '0.3@512': ((-0x4d0de3f2f69c81b9415072d641842afb730adc436c65d592746022c76d9de00f6b8922232e766a48b8544df36b7869b2d3cb1ed67961f3b287c18247bedbe53d9678d36d, -542), (-0x4d0de3f2f69c81b9415072d641842afb730adc436c65d592746022c76d9de00f6b8922232e766a48b8544df36b7869b2d3cb1ed67961f3b287c18247bedbe53d9678d367, -542)),
-        '0.70703125@512': ((-0x2c600616755892770633947ffe651e7352eee5ee8963c476bf74f1c61d3fdc54ac5820a328775e1189781cd0f918099b98559a921f54f7785e6b98d1c78ace4b4bff8e1, -539), (-0xb1801859d56249dc18ce51fff99479cd4bbb97ba258f11dafdd3c71874ff7152b160828ca1dd784625e07343e460266e61566a487d53dde179ae63471e2b392d2ffe37d3, -545)),
+        '1e-20@512': ((-0xb834f1551552d71ca4ec8bb66387ccb31b33e83850f5775224b7a622826c38cf3bbac38d9e121473ff8cfeb03776d0c2377aad1e514edb91ba7356a5039e5c8c1a1ac919, -538), (-0x5c1a78aa8aa96b8e527645db31c3e6598d99f41c287abba9125bd31141361c679ddd61c6cf090a39ffc67f581bbb68611bbd568f28a76dc8dd39ab5281cf2e460d0d648b, -537)),
+        '0.3@512': ((-0x9a1bc7e5ed39037282a0e5ac830855f6e615b886d8cbab24e8c0458edb3bc01ed71244465cecd49170a89be6d6f0d365a7963dacf2c3e7650f83048f7db7ca7b2cf1a6d5, -543), (-0x9a1bc7e5ed39037282a0e5ac830855f6e615b886d8cbab24e8c0458edb3bc01ed71244465cecd49170a89be6d6f0d365a7963dacf2c3e7650f83048f7db7ca7b2cf1a6d3, -543)),
+        '0.70703125@512': ((-0x1630030b3aac493b8319ca3fff328f39a97772f744b1e23b5fba78e30e9fee2a562c1051943baf08c4bc0e687c8c04cdcc2acd490faa7bbc2f35cc68e3c56725a5ffc701, -542), (-0xb1801859d56249dc18ce51fff99479cd4bbb97ba258f11dafdd3c71874ff7152b160828ca1dd784625e07343e460266e61566a487d53dde179ae63471e2b392d2ffe3807, -545)),
         '1@512': ((0x0, 0), (0x0, 0)),
-        '1.5@512': ((0x67cc8fb2fe612fcada35d9bd014886067d20ffb34547d7c2b38ad78ec59e3b60c2df0cb19edaebb7fadca437b8a073c4752d66d15d6f9b5da7e09dc7febb0e3f4839cab1, -544), (0xcf991f65fcc25f95b46bb37a02910c0cfa41ff668a8faf856715af1d8b3c76c185be19633db5d76ff5b9486f7140e788ea5acda2badf36bb4fc13b8ffd761c7e907395c7, -545)),
+        '1.5@512': ((0xcf991f65fcc25f95b46bb37a02910c0cfa41ff668a8faf856715af1d8b3c76c185be19633db5d76ff5b9486f7140e788ea5acda2badf36bb4fc13b8ffd761c7e90739597, -545), (0x67cc8fb2fe612fcada35d9bd014886067d20ffb34547d7c2b38ad78ec59e3b60c2df0cb19edaebb7fadca437b8a073c4752d66d15d6f9b5da7e09dc7febb0e3f4839cacd, -544)),
         '2@512': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b, -543), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca17, -544)),
         '1e30@512': ((0x1144f69ff9ffc42aaf762d191954bb30ca8cddc54797032fb37137933c3a25536d99825546d1b1eadff537e0853323923533803ad79f6495a97ad01f7856d8ad22154523, -534), (0x4513da7fe7ff10aabdd8b4646552ecc32a3377151e5c0cbecdc4de4cf0e8954db66609551b46c7ab7fd4df8214cc8e48d4ce00eb5e7d9256a5eb407de15b62b48855148d, -536)),
         '0.5@512': ((-0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca17, -544), (-0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b, -543)),
+    },
+    'raw_sin': {
+        '-2.5@128': (((-0x9935786e7e5584057b197d3d34eae4b042be8c7d, -160), (-0x1326af0dcfcab080af632fa7a69d5c960857d18f, -157)), ((-0x668bdfbe162df4ac3e7d50bf4b94a3bf8fa68de9, -159), (-0x668bdfbe162df4ac3e7d50bf4b94a3bf8fa68de7, -159))),
+        '1e-25@128': (((0xf79687aed3eec5513a83ddbd83f52203ffffffff, -243), (0x3de5a1ebb4fbb1544ea0f76f60fd4881, -209)), ((0xffffffffffffffffffffffffffffffffffffffff, -160), (0x1, 0))),
+        '0.5@128': (((0xf57743a2582f7f43b25e1b27ec1bdb3325e8b69f, -161), (0x7abba1d12c17bfa1d92f0d93f60ded9992f45b5, -156)), ((0x7054a0196df53e76deeeced17d7d6cc2ab2b359d, -159), (0xe0a94032dbea7cedbddd9da2fafad98556566b3b, -160))),
+        '1.5707963267948966@128': (((0xffffffffffffffffffffffffffff0a325972508d, -160), (0x7fffffffffffffffffffffffffff85192cb92847, -159)), ((0x58b05655a755321d1794812703ffe39d54d27ccb, -214), (0xb160acab4eaa643a2f29024e08ffc73aa9a4f997, -215))),
+        '3.141592653589793@128': (((0x8976dff4cbfc3d34ec052049c0e59372916b2c97, -211), (0x112edbfe997f87a69d80a4093820b26e522d6593, -208)), ((-0xffffffffffffffffffffffffff6c5f1a31882729, -160), (-0x1fffffffffffffffffffffffffed8be3463104e5, -157))),
+        '10@128': (((-0x45a27bd7cd3d49673fd915f012710004a757c293, -159), (-0x8b44f7af9a7a92ce7fb22be024e200094eaf8515, -160)), ((-0xd6cd64486358f904f7e2a0b9994e4c3bacd2e0e1, -160), (-0xd6cd64486358f904f7e2a0b9994e4c3bacd2e0d7, -160))),
+        '-1e5@128': (((-0x249b5538a4fd2c71d9f638f872a18b7a8c3ada45, -162), (-0x926d54e293f4b1c767d8e3e1ca862dea30ab6913, -164)), ((-0x7feb0e106cf69cd842df960d4bc21c495b8841ad, -159), (-0xffd61c20d9ed39b085bf2c1a97843892b7105ebb, -160))),
+        '1@128': (((0x6bb5523c2433b8106374f484e2879e1944f28889, -159), (0x35daa91e1219dc0831ba7a427143cf0ca2794445, -158)), ((0x114a280fb5068b923848cdb2ed0e37a53446e751, -157), (0x8a51407da8345c91c2466d976871bd29a2373a8b, -160))),
+        '0.2@128': (((0xcb6ff919ee95dfbaa74a7dee2980ed387bd73ea9, -162), (0x65b7fc8cf74aefdd53a53ef714c0769c3deb9f55, -161)), ((0xfae5a4abbb13d059fef7b50fd18acca79d119fd, -156), (0xfae5a4abbb13d059fef7b50fd18acca79d119fd1, -160))),
+        '-2.5@512': (((-0x9935786e7e5584057b197d3d34eae4b042be8c7aa29555f2ac8f27960dc60ea35b6c1330811bf66d55fcdbdeec2cb18651a720f7b8ac84603d41f8b1151267f427427cdb, -544), (-0x4c9abc373f2ac202bd8cbe9e9a757258215f463d514aaaf9564793cb06e30751adb60998408dfb36aafe6def761658c328d3907bdc5642301ea0fc588a8933fa13a13e6b, -543)), ((-0x19a2f7ef858b7d2b0f9f542fd2e528efe3e9a379f63b9082a39f31da089a69a3f741bf04ec413086db01129ecdcd98de0382b2c65e1f8e8e0ddd958a127ba5a28a08fc4f, -541), (-0xcd17bf7c2c5be9587cfaa17e9729477f1f4d1bcfb1dc84151cf98ed044d34d1fba0df82762098436d80894f66e6cc6f01c159632f0fc74706eecac5093dd2d145047e275, -544))),
+        '1e-25@512': (((0xf79687aed3eec5513a83ddbd83f522048c1389bc7e28d794c44b21e0e82b4321fff95c418b4196c27e2b939f6b1a471c1d81a0b00229b9b4f6cf6cff561e56147d7eb9f3, -627), (0x3de5a1ebb4fbb1544ea0f76f60fd48812304e26f1f8a35e53112c8783a0ad0c87ffe571062d065b09f8ae4e7dac691c70760682c008a6e6d3db3db3fd58795851f5fae7d, -625)), ((0xfffffffffffffffffffffffffffffffffffffffffe21185b52b47e1106d38332f4e125777f6a874c377c9a8639a3d93919f81f772ef1ec869ac400cc2273f02cf5929df7, -544), (0x1fffffffffffffffffffffffffffffffffffffffffc4230b6a568fc220da70665e9c24aeefed50e986ef9350c7347b27233f03eee5de3d90d3588019844e7e059eb253bf, -541))),
+        '0.5@512': (((0xf57743a2582f7f43b25e1b27ec1bdb3325e8b69f95e279ab16606d27a541b68fb66b5d147539f6eab9fd1d325d77ed981a08cf701eac46dda52c533bd11d6f9fc7844811, -545), (0x7abba1d12c17bfa1d92f0d93f60ded9992f45b4fcaf13cd58b303693d2a0db47db35ae8a3a9cfb755cfe8e992ebbf6cc0d0467b80f56236ed296299de88eb7cfe3c22409, -544)), ((0xe0a94032dbea7cedbddd9da2fafad98556566b3a89f43eabd72350af3e8b19e801204d8fe2efe077f80079908adf28ed005ab15efa33e62f72a25e5bc53ccdbf8852aec3, -544), (0x382a500cb6fa9f3b6f776768bebeb66155959acea27d0faaf5c8d42bcfa2c67a00481363f8bbf81dfe001e6422b7ca3b4016ac57be8cf98bdca89796f14f336fe214abb1, -542))),
+        '1.5707963267948966@512': (((0x3fffffffffffffffffffffffffffc28c965c94235ea29c832f01417146d62ca0eb45ac06220083a3217e1322741dee92d103e7ec7c6fbd63d1a3682767a3c6f8683d5039, -542), (0xffffffffffffffffffffffffffff0a325972508d7a8a720cbc0505c51b58b283ad16b01888020e8c85f84c89d077ba4b440f9fb1f1bef58f468da09d9e8f1be1a0f540e5, -544)), ((0xb160acab4eaa643a2ee60a493e2762e6fa8f2d6ab58129e5e6cae2d172f0d7150681fe5edcc789f5a453099fef1762dd1634272438578aa0fd7bcc8ebb5275896f17f24f, -599), (0xb160acab4eaa643a2ee60a493e2762e6fa8f2d6ab58129e5e6cae2d172f0d7150681fe5edcc789f5a453099fef1762dd1634272438578aa0fd7bcc8ebc5275896f17f25, -595))),
+        '3.141592653589793@512': (((0x44bb6ffa65fe1e9a75fa103eb237ade0fda0948ffc17706b7679df9d6b7aaf77a22911e020208ac782d4b623ca87ac6def4d96b19724ff13bb8ef6cee46ee8f63597b89d, -594), (0x8976dff4cbfc3d34ebf4207d646f5bc1fb41291ff82ee0d6ecf3bf3ad6f55eef445223c04041158f05a96c47950f58dbde9b2d632e49fe27771ded9dc8fdd1ec6b2f713b, -595)), ((-0xffffffffffffffffffffffffff6c5f1a31882728fc01549d387fa52a166211b6d6af18da295ba801070c55b5c9f49e3556bbab8425c1e011be2928a51bab6fbcae83e4eb, -544), (-0x7fffffffffffffffffffffffffb62f8d18c413947e00aa4e9c3fd2950b3108db6b578c6d14add40083862adae4fa4f1aab5dd5c212e0f008df1494528dd5b7de5741f275, -543))),
+        '10@512': (((-0x45a27bd7cd3d49673fd915f012710004a757c28f4cfee47ebeffe852774ecec40ffdec2d01e251b482253ea8ae6dc386403925c5e6ff262765cc7c81854c9c43e6843879, -543), (-0x8b44f7af9a7a92ce7fb22be024e200094eaf851e99fdc8fd7dffd0a4ee9d9d881ffbd85a03c4a369044a7d515cdb870c80724b8bcdfe4c4ecb98f9030a993887cd0870d1, -544)), ((-0x1ad9ac890c6b1f209efc54173329c987759a5c1b5b34e38d38f0458d807037d5ecbe333f3ca7096b4ee64d1e115dc9f71b9dc05014b79583511cda8c10d8581ad73488f, -537), (-0xd6cd64486358f904f7e2a0b9994e4c3bacd2e0dad9a71c69c7822c6c0381beaf65f199f9e5384b5a773268f08aee4fb8dcee0280a5bcac1a88e6d46086c2c0d6b9a4476d, -544))),
+        '-1e5@512': (((-0x926d54e293f4b1c767d8e3e1ca862dea30d563c4e597c29ff41efa8bff90ad924238c9abb0040464471c72cd94a863a4fe0de93849c84ec07c97e665aa4df1101b0e8e5, -544), (-0x926d54e293f4b1c767d8e3e1ca862dea30d563c4e597c29ff41efa8bff90ad924238c9abb0040464471c72cd94a863a4fe0de93849c84ec07c97e665aa4df1101ace8e4f, -548)), ((-0xffd61c20d9ed39b085bf2c1a97843892b7106b547558b53e12e0ff95b65ebc38663c3f7cc6efc836b198b5d65c0dc0c56bf9d6f5c03fea68abcb9caaf6241f3a44ed9e0d, -544), (-0xffd61c20d9ed39b085bf2c1a97843892b7106b547558b53e12e0ff95b65ebc38663c3f7cc6efc836b198b5d65c0dc0c56bf9d6f5c03fea68abcb9caaf6241f3a44ed796f, -544))),
+        '1@512': (((0xd76aa47848677020c6e9e909c50f3c3289e511132f518b4defb6ca5fd6c649bdfb0bd9ff1edcd4577655b5826a3d3b50c26355635dfd0cebfe89a6250ceb04172939e8d7, -544), (0xd76aa47848677020c6e9e909c50f3c3289e511132f518b4defb6ca5fd6c649bdfb0bd9ff1edcd4577655b5826a3d3b50c26355635dfd0cebfe89a6250ceb04172939e8d9, -544)), ((0x8a51407da8345c91c2466d976871bd29a2373a894f96c3b7f2300240b760e6fa96a94430a52d0e9e43f3450e3b8ff99bc9344041db8202049606fa2352b463757b50f801, -544), (0x2294501f6a0d172470919b65da1c6f4a688dcea253e5b0edfc8c00902dd839bea5aa510c294b43a790fcd1438ee3fe66f24d101076e080812581be88d4ad18dd5ed43e01, -542))),
+        '0.2@512': (((0xcb6ff919ee95dfbaa74a7dee2980ed39448ef59951690677d86c98990e983aff9ae7b01336b35a0be4cf6923f036248b384f7a17c039b5bc5d532b7d261ee7d6f2301b5, -542), (0xcb6ff919ee95dfbaa74a7dee2980ed39448ef59951690677d86c98990e983aff9ae7b01336b35a0be4cf6923f036248b384f7a17c039b5bc5d532b7d261ee7d6f2301b51, -546)), ((0xfae5a4abbb13d059fef7b50fd18acca792e5a028a168062dc5543921a60068e89b26c61753a23e335aebefea68e696fccb1056eda307c43ee4c0749514628c035f166d4f, -544), (0xfae5a4abbb13d059fef7b50fd18acca792e5a028a168062dc5543921a60068e89b26c61753a23e335aebefea68e696fccb1056eda307c43ee4c0749514628c035f166d5, -540))),
+    },
+    'raw_atan': {
+        '-3@128': ((-0x9fe0bb5bd42affebbe5c42c0ef7cb1a970062c6b, -159), (-0x4ff05dadea157ff5df2e216077be58d4b803163, -154)),
+        '1e-30@128': ((0xa2425ff75e14fc31a1258379a94d028cffffffff, -259), (0xa2425ff75e14fc31a1258379a94d028d00000001, -259)),
+        '0.2@128': ((0xca220fc7b9305b2ecf053204ebb711c13d58125, -158), (0x328883f1ee4c16cbb3c14c813aedc4704f56049d, -160)),
+        '0.25@128': ((0x7d6dd7e4b203758ab6e3cf7afbd10bf2d53fd477, -161), (0xfadbafc96406eb156dc79ef5f7a217e5aa7fa917, -162)),
+        '0.9@128': ((0xbb99c540301df2f06d5204b76e1908e9d4161c0b, -160), (0xbb99c540301df2f06d5204b76e1908e9d4161c31, -160)),
+        '1@128': ((0x6487ed5110b4611a62633145c06e0e68948126fb, -159), (0x6487ed5110b4611a62633145c06e0e689481271, -155)),
+        '7@128': ((0x5b7315eed597f2d6379bb86d7196725c033cb523, -158), (0x2db98af76acbf96b1bcddc36b8cb392e019e5a93, -157)),
+        '1e6@128': ((0x6487e91f52cc33a0889d558ff2e67054cbb61cab, -158), (0x1921fa47d4b30ce822275563fcb99c1532ed872b, -156)),
+        '-1@128': ((-0x6487ed5110b4611a62633145c06e0e689481271, -155), (-0x6487ed5110b4611a62633145c06e0e68948126fb, -159)),
+        '-3@512': ((-0x9fe0bb5bd42affebbe5c42c0ef7cb1a970062c660ebb1dfa39b9a50cd7e25f53a74c1a82a964d6ca19bc9198184639ee4bcdff3ab87e8a209da6b244583184925087ac9f, -543), (-0x4ff05dadea157ff5df2e216077be58d4b8031633075d8efd1cdcd2866bf12fa9d3a60d4154b26b650cde48cc0c231cf725e6ff9d5c3f45104ed359222c18c2492843d641, -542)),
+        '1e-30@512': ((0x289097fdd7853f0c684960de6a5340a34637cb3347f80280ed78a6a5150927da83a09501cc908d676daf9d1495c2979e01a06d4f130470f02c9573911b90c26d2df29569, -641), (0x14484bfeebc29f863424b06f3529a051a31be599a3fc014076bc53528a8493ed41d04a80e64846b3b6d7ce8a4ae14bcf00d036a789823878164ab9c88dc8613696f94ab5, -640)),
+        '0.2@512': ((0xca220fc7b9305b2ecf053204ebb711c2024461272e98073ccc47210c1bd3d2c0e5876bb6258c8f6c0ec71234b685ddd8742e74d4d5b6d2b6fc9dad03493fb5e4eb4a26e9, -546), (0xca220fc7b9305b2ecf053204ebb711c2024461272e98073ccc47210c1bd3d2c0e5876bb6258c8f6c0ec71234b685ddd8742e74d4d5b6d2b6fc9dad03493fb5e4eb4a275f, -546)),
+        '0.25@512': ((0xfadbafc96406eb156dc79ef5f7a217e5aa7fa90388b3836b7a3a767c9449a76592b9251668e5765305be8c5ba5831a3e3c2bc227071e4f9a0f41c3ab039983799e8ab6ff, -546), (0x1f5b75f92c80dd62adb8f3debef442fcb54ff5207116706d6f474ecf928934ecb25724a2cd1caeca60b7d18b74b06347c7857844e0e3c9f341e838756073306f33d156f1, -543)),
+        '0.9@512': ((0x5dcce2a0180ef97836a9025bb70c847506549a13dc2d9304f1da54bc30a65f9e1c5ad706d9784333c6140b76c13f989af745f71718ade9e0be4b09066f8ae0001dc4ec17, -543), (0xbb99c540301df2f06d5204b76e1908ea0ca93427b85b2609e3b4a978614cbf3c38b5ae0db2f086678c2816ed827f3135ee8bee2e315bd3c17c96120cdf15c0003b89d8a5, -544)),
+        '1@512': ((0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d4f, -542), (0x1921fb54442d18469898cc51701b839a252049c1114cf98e804177d4c76273644a29410f31c6809bbdf2a33679a748636605614dbe4be286e9fc26adadaa3848bc90b6b7, -541)),
+        '7@512': ((0x16dcc57bb565fcb58de6ee1b5c659c9700cf2d492791a865b2354250bc7d88a5cf941c0552170bd2d46f73a22a10a67cec19f373ad9e13c9218cb4211c1d2b914347dd9, -536), (0xb6e62bddab2fe5ac6f3770dae32ce4b806796a493c8d432d91aa1285e3ec452e7ca0e02a90b85e96a37b9d11508533e760cf9b9d6cf09e490c65a108e0e95c8a1a3eec8f, -543)),
+        '1e6@512': ((0x1921fa47d4b30ce822275563fcb99c1532ed872ad9b55aff695f62d1a66bb81d76954308ca59f938862cf5135259aa84b2b8b87433e84a451a6adee01b5fdcabeb21fd95, -540), (0x6487e91f52cc33a0889d558ff2e67054cbb61cab66d56bfda57d8b4699aee075da550c232967e4e218b3d44d4966aa12cae2e1d0cfa1291469ab7b806d7f72afac87f655, -542)),
+        '-1@512': ((-0x1921fb54442d18469898cc51701b839a252049c1114cf98e804177d4c76273644a29410f31c6809bbdf2a33679a748636605614dbe4be286e9fc26adadaa3848bc90b6b7, -541), (-0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d4f, -542)),
+    },
+    'raw_exp_integral': {
+        '1e-10@128': ((0xb396ce15fcd4ecdab8f7de8d2412fe8b2b8c44b46d4e4a79, -187), (0xb396ce15fcd4ecdab8f7de8d2412fe8b2b8c44b46d6c38f5, -187)),
+        '0.5@128': ((0x11e9aa50574b81b751af26db12487eda5cf67701cf8c5c77, -189), (0x47a6a9415d2e06dd46bc9b6c4921fb6973d9dc0740105995, -191)),
+        '1@128': ((0x38298ba77f1f271f615dd7dcb3c95917734b52f059da45e5, -192), (0x7053174efe3e4e3ec2bbafb96792b22ee696a5e0bb302a8b, -193)),
+        '5@128': ((0x12d04d00aecaf669f37e2d945b7b53b27fdffcf86adc0a65, -198), (0x4b413402bb2bd9a7cdf8b6516ded4ec9ff7ff3e5693f739, -196)),
+        '20@128': ((0x3612457155e89c3ba41e024f0fd6bd38e43c03cce348f11, -219), (0x3612457155e89c3ba41e024f0fd6bd38e61aeb719095a51, -219)),
+        '33@128': ((0x278707cafb66527ffc33e9ce4338fbb9b86492ab4e0d93, -234), (0x13c383e57db3293ffe19f4e7219c85587ac4fe83b445bad, -237)),
+        '34@128': ((0x38803e2ee51faae827f980931c5f32a2a007681515873d, -236), (0x1c401f17728fd57413fcc0498e2fb73fca4e88c55e2827b, -239)),
+        '40@128': ((0x7a5af36cdb509d42e63fd24273e3944f6ebdcf6f, -222), (0xf7b1f3b23a92990ec9567f96801cd976ba758555, -223)),
+        '1e-10@512': ((0x59cb670afe6a766d5c7bef4692097f4594e7cc723706a34aceb2eb9b66548cd4487bbe5cd4c54a36e29f268c12cbd4868c735509b0284fecc7569b4edf8e6a0c0919714f3060481f, -570), (0x2ce5b3857f353b36ae3df7a34904bfa2ca73e6391b8acd43fa0ea3d56f0ef85d586a5a988c64fafe4071a3313467bc097b23c2f591fe29ce3f7d7ba5459e19764d2fd5d11d89860f, -569)),
+        '0.5@512': ((0x8f4d5282ba5c0dba8d7936d89243f6d2e7b3b80e7c62e3cb69d74cbc5156df00e9e675bc6de55c1305efd2db17bf14a150c675fe2645b8a352282e7534767f1f03042c276260cd9f, -576), (0x47a6a9415d2e06dd46bc9b6c4921fb6973d9dc074010598a6237284d21d7ec4d80121566b78826bd4b7be4384c53fbdde2e9572d8da352489d9f96b00ff45ba1aa4960750788e6c3, -575)),
+        '1@512': ((0x1c14c5d3bf8f938fb0aeebee59e4ac8bb9a5a9782ced22f7d5f112f529ea74280a8685e2e6beecf39f95526ea9a54f55657a142c5001fca59f225c9302c14df3c831b7b325310131, -575), (0x38298ba77f1f271f615dd7dcb3c95917734b52f05d981539067929c8462de1ea2b4ac0d6cea8cb4ed0329a72d43381c5400060b59504e539275bb810f0f4d40be1f20428f7130221, -576)),
+        '5@512': ((0x968268057657b34f9bf16ca2dbda9d93feffe7c356e053c96c2b53f4dccf911adc753dd4bdfe95ccf4f007bbb5ef7f405bf3ca4518d5a0806a0d5e97474b530b6e51356639043e9, -581), (0x12d04d00aecaf669f37e2d945b7b53b27fdffcf95a4fdccfd34661fb31d858a8eafbebfae27c2c9de09b6657b0f6b6854e8c9085e355af8a5301668dc5777375d16f5757f3606291, -582)),
+        '20@512': ((0x1b0922b8aaf44e1dd20f012787eb5e9c721e01e671a4c510452bdbe489e9fc05c90cc94e3ae14f9950bfa98136f5f249f020ee85ab844d6a6230e2aa534acd6e40d3db933310097, -602), (0x3612457155e89c3ba41e024f0fd6bd38e61aeb7190950c0f838434961ef2d29412af0b503e4699fd61f3c48fa87200c25ac253024b941a4a3a1ae166cf5ce53dd80036db395fb7f, -603)),
+        '33@512': ((0x13c383e57db3293ffe19f4e7219c7ddcdc324955a9c84fba9013e4ef0289ee48e6348b1787bbf38621d2fafd52a19426d7deca3fd33e69ee7eabd8541baaecc0ebccd8b9cafe3b3, -621), (0x4f0e0f95f6cca4fff867d39c86721561eb13fa0ec610d1b20d2045a9b2afc27b240eb49dcb9bd55fa01f94570d6df8a2beea71b74451034bbbd1edc514c1188baa8096ce52f64f, -619)),
+        '34@512': ((0x1c401f17728fd57413fcc0498e2f99515003b40be4fe19a761ff62c59408dcfd08cb0d7bcdcf4a16fdeb6098d651ca62087f95076eb3639698b12d2e99e7f1e8f77593f2b03b767, -623), (0x71007c5dca3f55d04ff3012638bedcff293a23100fb6b1bcbb4052ccf2439952501e56ede9ed45785afc23ea64e5c9a59fbb76fd982afca1674ee68cfff55dc3cb0b1f71d68639, -621)),
+        '40@512': ((0x3d2d79b66da84ea1731fe92139f1ca27b75ee7bba7bef35081c0fc30fe3328fb5a5a03eacc5e9c3423f254a07b00afeb7a2bb17b0553edb0ba3f848bbd8f743f91d2183d, -605), (0xf7b1f3b23a92990ec9567f96801cd976ba7585151ff681fdfc89c77c120dee8a7b75a124e62ef3d58b27eccf92f5ba5630d885eca214383c79e38cb23a624a93a8885917, -607)),
+    },
+    'raw_erfc_enclosure': {
+        '0@128': ((0x1, 0), (0x1, 0)),
+        '1e-8@128': ((0xffffffcf89570090d5d8ff07b2b0d16c05eaf0b27c6df6d3, -192), (0xffffffcf89570090d5d8ff07b2b0d16c05eaf0b27c6df6d9, -192)),
+        '0.1@128': ((0xe335a15db04ccc6152ac8b87799303430fe3f6c14153615b, -192), (0xe335a15db04ccc6152ac8b87799303430fe3f6c141536173, -192)),
+        '1@128': ((0x5089858bef775392feef0244f2d90c59bce782d743ee156f, -193), (0x5089858bef775392feef0244f2d90c59bce782d743ee15a7, -193)),
+        '3@128': ((0x2e53beca0684541784ca4c429a1488d930bef6ab22fdda0f, -205), (0x5ca77d940d08a82f09949885342911b2617ded5645fbb5, -198)),
+        '5.9@128': ((0xa5ccb00d1a1eb29cee00fa29d20871b71e989ab6191b9f3, -241), (0xa5ccb00d1a1eb29cee00fa29d20871b71e989fa62684f7f, -241)),
+        '6@128': ((0x18cf81557d20b61a7fff0cc732bf9b2f06a7de857fb20e61, -244), (0x18cf81557d20b61a7fff0cc732bf9b2f06a7de8587defbdb, -244)),
+        '7@128': ((0xca4c507d2cc0ceda44773ac5ecdc675cb7a67077, -234), (0x65840093831596621cf1b7e57c79e93d7d833e05, -233)),
+        '0.5@128': ((0x3d60428f9c48b750bfb072e72ec2b59efbd4909d88d46359, -191), (0x7ac0851f38916ea17f60e5ce5d856b3df7a9213b11a8c6db, -192)),
+        '0@512': ((0x1, 0), (0x1, 0)),
+        '1e-8@512': ((0x7fffffe7c4ab80486aec7f83d95868b602f5785098b96079613778283b67ea5545fc93439f6442f23b959824c1c627c5e573ce156da61afc17a7f93cc3503c0250e5fb5e03ff2ded, -575), (0xffffffcf89570090d5d8ff07b2b0d16c05eaf0a13172c0f2c26ef05076cfd4aa8bf926873ec885e4772b3049838c4f8bcae79c2adb4c35f82f4ff27986a07804a1cbf6bc07fe5be7, -576)),
+        '0.1@512': ((0xe335a15db04ccc6152ac8b8779930342f34a995fac0495be45cb3f6240ff7f0ecf6ed4b988d621f78fef1ed99e2922dce43b4d4f2c1e443fdf59caecb46309b4caf938c984df0f7d, -576), (0xe335a15db04ccc6152ac8b8779930342f34a995fac0495be45cb3f6240ff7f0ecf6ed4b988d621f78fef1ed99e2922dce43b4d4f2c1e443fdf59caecb46309b4caf938c984df0fb9, -576)),
+        '1@512': ((0x14226162fbddd4e4bfbbc0913cb643166f39e0b5d0fb85629522a17c7e9f72c5607feacd988d76276bf91173854200dc84330a26bf4507ac6dd361cd0e0352cc8314e808b3e34805, -575), (0x5089858bef775392feef0244f2d90c59bce782d743ee158a548a85f1fa7dcb1581ffab366235d89dafe445ce1508037210cc289afd141eb1b74d8734380d4b320c53a022cf8d208f, -577)),
+        '3@512': ((0x1729df6503422a0bc26526214d0a446c985f7b55917eed25677d154fe830da3a55e304d1a5671ba5790334714197413b336e20536516b3f9e74c849e8a6495aa9451a0eb90d09769, -588), (0x2e53beca0684541784ca4c429a1488d930bef6ab22fdda4acefa2a9fd061b474abc609a34ace374af20668e2832e827666dc40a6ca2d67f3ce99093d14c92b5528a341d721a12fb3, -589)),
+        '5.9@512': ((0xa5ccb00d1a1eb29cee00fa29d20871858664ad08d319f6f1a05d651f67ea85ee64e08f76f7a49a79573e62139a4e14a61168dd75f74cbd01c53cc92a7a61b73ddd7db6a7e1cf359, -625), (0x14b99601a343d6539dc01f453a410e30b0cc95a11a633ede340baca3ecfd50bdcc9c11eedef4934f2ae7cc427349c294c22d1baebee997a038a799254f4c36e7bbafb76b32622271, -626)),
+        '6@512': ((0x18cf81557d20b61a7fff0cc732bf9b2f06a7de8583c8851ec18a8d89d80a8d34adc10f4110af829cad2ec8c7857ef7be8d7cb5af50aa1200a5be11e8709ce4e34c5142b875e74917, -628), (0x18cf81557d20b61a7fff0cc732bf9b2f06a7de8583c8851ec18a8d89d80a8d34adc10f4110af829cad2ec8c7857ef7be8d7cb5af50aa1200a5be11e8709ce4e34c5142b87e1579d3, -628)),
+        '7@512': ((0xca4c507d2cc0ceda44773ac5ecdc675cb7a67079fabf93c55a584d684bb206a7e298b9a6e3a60d9d591353ddf6aed127a931cc49c853310d45c9b7ed90d9fae7f86fc6bb, -618), (0x32c20049c18acb310e78dbf2be3cf49ebec19f01e92e1ef719d4601966ce92584d07e9cebe0942eaec4b7881446c40c4445ffd6001956c444df048310b8848e4f8e0b6f3, -616)),
+        '0.5@512': ((0x7ac0851f38916ea17f60e5ce5d856b3df7a9213b11a8c6c3c82ca87b392651e7f87a0b5abc7f612137363321b890fad811323b94673e87bc52753fd7093ae85d293f2e422356d4ad, -576), (0x1eb02147ce245ba85fd8397397615acf7dea484ec46a31b0f20b2a1ece499479fe1e82d6af1fd8484dcd8cc86e243eb6044c8ee519cfa1ef149d4ff5c24eba174a4fcb9088d5b543, -574)),
+    },
+}
+
+
+# fmt: off
+SERIES_PATH_PINS: dict = {
+    'sin': {
+        '1e-25@512': ((0x3de5a1ebb4fbb1544ea0f76f60fd48812304e26f1f8a35e53112c8783a0ad0c87ffe571062d065b09f8ae4e7dac691c70760682c008a6e6d3db3db3fd5879585, -593), (0xf79687aed3eec5513a83ddbd83f522048c1389bc7e28d794c44b21e0e82b4321fff95c418b4196c27e2b939f6b1a471c1d81a0b00229b9b4f6cf6cff561e561b, -595)),
     },
     'raw_sin': {
         '-2.5@128': (((-0x9935786e7e5584057b197d3d34eae4b042be8c87, -160), (-0x4c9abc373f2ac202bd8cbe9e9a757258215f4637, -159)), ((-0xcd17bf7c2c5be9587cfaa17e9729477f1f4d1bdb, -160), (-0xcd17bf7c2c5be9587cfaa17e9729477f1f4d1bc5, -160))),
@@ -456,25 +578,23 @@ PINS: dict = {
         '1@512': (((0x6bb5523c2433b8106374f484e2879e1944f2888997a8c5a6f7db652feb6324defd85ecff8f6e6a2bbb2adac1351e9da86131aab1aefe8675ff44d3128675820b949cf461, -543), (0xd76aa47848677020c6e9e909c50f3c3289e511132f518b4defb6ca5fd6c649bdfb0bd9ff1edcd4577655b5826a3d3b50c26355635dfd0cebfe89a6250ceb04172939e8f3, -544)), ((0x8a51407da8345c91c2466d976871bd29a2373a894f96c3b7f2300240b760e6fa96a94430a52d0e9e43f3450e3b8ff99bc9344041db8202049606fa2352b463757b50f7eb, -544), (0x2294501f6a0d172470919b65da1c6f4a688dcea253e5b0edfc8c00902dd839bea5aa510c294b43a790fcd1438ee3fe66f24d101076e080812581be88d4ad18dd5ed43e07, -542))),
         '0.2@512': (((0xcb6ff919ee95dfbaa74a7dee2980ed39448ef59951690677d86c98990e983aff9ae7b01336b35a0be4cf6923f036248b384f7a17c039b5bc5d532b7d261ee7d6f2301b3d, -546), (0x32dbfe467ba577eea9d29f7b8a603b4e5123bd66545a419df61b262643a60ebfe6b9ec04cdacd682f933da48fc0d8922ce13de85f00e6d6f1754cadf4987b9f5bc8c06d9, -544)), ((0x3eb9692aeec4f4167fbded43f462b329e4b9680a285a018b71550e4869801a3a26c9b185d4e88f8cd6bafbfa9a39a5bf32c415bb68c1f10fb9301d254518a300d7c59b4f, -542), (0x3eb9692aeec4f4167fbded43f462b329e4b9680a285a018b71550e4869801a3a26c9b185d4e88f8cd6bafbfa9a39a5bf32c415bb68c1f10fb9301d254518a300d7c59b59, -542))),
     },
-    'raw_atan': {
-        '-3@128': ((-0x9fe0bb5bd42affebbe5c42c0ef7cb1a970062c6b, -159), (-0x4ff05dadea157ff5df2e216077be58d4b803163, -154)),
-        '1e-30@128': ((0xa2425ff75e14fc31a1258379a94d028cffffffff, -259), (0xa2425ff75e14fc31a1258379a94d028d00000001, -259)),
-        '0.2@128': ((0xca220fc7b9305b2ecf053204ebb711c13d58125, -158), (0x328883f1ee4c16cbb3c14c813aedc4704f56049d, -160)),
-        '0.25@128': ((0x7d6dd7e4b203758ab6e3cf7afbd10bf2d53fd477, -161), (0xfadbafc96406eb156dc79ef5f7a217e5aa7fa917, -162)),
-        '0.9@128': ((0xbb99c540301df2f06d5204b76e1908e9d4161c0b, -160), (0xbb99c540301df2f06d5204b76e1908e9d4161c31, -160)),
-        '1@128': ((0x6487ed5110b4611a62633145c06e0e68948126fb, -159), (0x6487ed5110b4611a62633145c06e0e689481271, -155)),
-        '7@128': ((0x5b7315eed597f2d6379bb86d7196725c033cb523, -158), (0x2db98af76acbf96b1bcddc36b8cb392e019e5a93, -157)),
-        '1e6@128': ((0x6487e91f52cc33a0889d558ff2e67054cbb61cab, -158), (0x1921fa47d4b30ce822275563fcb99c1532ed872b, -156)),
-        '-1@128': ((-0x6487ed5110b4611a62633145c06e0e689481271, -155), (-0x6487ed5110b4611a62633145c06e0e68948126fb, -159)),
-        '-3@512': ((-0x9fe0bb5bd42affebbe5c42c0ef7cb1a970062c660ebb1dfa39b9a50cd7e25f53a74c1a82a964d6ca19bc9198184639ee4bcdff3ab87e8a209da6b244583184925087ac9f, -543), (-0x4ff05dadea157ff5df2e216077be58d4b8031633075d8efd1cdcd2866bf12fa9d3a60d4154b26b650cde48cc0c231cf725e6ff9d5c3f45104ed359222c18c2492843d641, -542)),
-        '1e-30@512': ((0x289097fdd7853f0c684960de6a5340a34637cb3347f80280ed78a6a5150927da83a09501cc908d676daf9d1495c2979e01a06d4f130470f02c9573911b90c26d2df29569, -641), (0x14484bfeebc29f863424b06f3529a051a31be599a3fc014076bc53528a8493ed41d04a80e64846b3b6d7ce8a4ae14bcf00d036a789823878164ab9c88dc8613696f94ab5, -640)),
-        '0.2@512': ((0xca220fc7b9305b2ecf053204ebb711c2024461272e98073ccc47210c1bd3d2c0e5876bb6258c8f6c0ec71234b685ddd8742e74d4d5b6d2b6fc9dad03493fb5e4eb4a26e9, -546), (0xca220fc7b9305b2ecf053204ebb711c2024461272e98073ccc47210c1bd3d2c0e5876bb6258c8f6c0ec71234b685ddd8742e74d4d5b6d2b6fc9dad03493fb5e4eb4a275f, -546)),
-        '0.25@512': ((0xfadbafc96406eb156dc79ef5f7a217e5aa7fa90388b3836b7a3a767c9449a76592b9251668e5765305be8c5ba5831a3e3c2bc227071e4f9a0f41c3ab039983799e8ab6ff, -546), (0x1f5b75f92c80dd62adb8f3debef442fcb54ff5207116706d6f474ecf928934ecb25724a2cd1caeca60b7d18b74b06347c7857844e0e3c9f341e838756073306f33d156f1, -543)),
-        '0.9@512': ((0x5dcce2a0180ef97836a9025bb70c847506549a13dc2d9304f1da54bc30a65f9e1c5ad706d9784333c6140b76c13f989af745f71718ade9e0be4b09066f8ae0001dc4ec17, -543), (0xbb99c540301df2f06d5204b76e1908ea0ca93427b85b2609e3b4a978614cbf3c38b5ae0db2f086678c2816ed827f3135ee8bee2e315bd3c17c96120cdf15c0003b89d8a5, -544)),
-        '1@512': ((0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d4f, -542), (0x1921fb54442d18469898cc51701b839a252049c1114cf98e804177d4c76273644a29410f31c6809bbdf2a33679a748636605614dbe4be286e9fc26adadaa3848bc90b6b7, -541)),
-        '7@512': ((0x16dcc57bb565fcb58de6ee1b5c659c9700cf2d492791a865b2354250bc7d88a5cf941c0552170bd2d46f73a22a10a67cec19f373ad9e13c9218cb4211c1d2b914347dd9, -536), (0xb6e62bddab2fe5ac6f3770dae32ce4b806796a493c8d432d91aa1285e3ec452e7ca0e02a90b85e96a37b9d11508533e760cf9b9d6cf09e490c65a108e0e95c8a1a3eec8f, -543)),
-        '1e6@512': ((0x1921fa47d4b30ce822275563fcb99c1532ed872ad9b55aff695f62d1a66bb81d76954308ca59f938862cf5135259aa84b2b8b87433e84a451a6adee01b5fdcabeb21fd95, -540), (0x6487e91f52cc33a0889d558ff2e67054cbb61cab66d56bfda57d8b4699aee075da550c232967e4e218b3d44d4966aa12cae2e1d0cfa1291469ab7b806d7f72afac87f655, -542)),
-        '-1@512': ((-0x1921fb54442d18469898cc51701b839a252049c1114cf98e804177d4c76273644a29410f31c6809bbdf2a33679a748636605614dbe4be286e9fc26adadaa3848bc90b6b7, -541), (-0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d4f, -542)),
+    'raw_log': {
+        '1e-20@128': ((-0xb834f1551552d71ca4ec8bb66387ccb31bb6a91b, -154), (-0x17069e2aa2aa5ae3949d9176cc70f9966376d523, -151)),
+        '0.3@128': ((-0x9a1bc7e5ed39037282a0e5ac830855f76615b889, -159), (-0x2686f1f97b4e40dca0a8396b20c2157dd9856e21, -157)),
+        '0.70703125@128': ((-0xb1801859d56249dc18ce51fff99479cd4bbb97d, -157), (-0x58c00c2ceab124ee0c6728fffcca3ce6a5ddcbd7, -160)),
+        '1@128': ((0x0, 0), (0x0, 0)),
+        '1.5@128': ((0xcf991f65fcc25f95b46bb37a02910c0cfa41ff53, -161), (0x33e647d97f3097e56d1aecde80a443033e907fdd, -159)),
+        '2@128': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193, -159), (0xb17217f7d1cf79abc9e3b39803f2f6af40f34327, -160)),
+        '1e30@128': ((0x8a27b4ffcffe21557bb168c8caa5d9865466ee29, -153), (0x2289ed3ff3ff88555eec5a3232a976619519bb8b, -151)),
+        '0.5@128': ((-0xb17217f7d1cf79abc9e3b39803f2f6af40f34327, -160), (-0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193, -159)),
+        '1e-20@512': ((-0xb834f1551552d71ca4ec8bb66387ccb31b33e83850f5775224b7a622826c38cf3bbac38d9e121473ff8cfeb03776d0c2377aad1e514edb91ba7356a5039e5c8c1a1ac919, -538), (-0xb834f1551552d71ca4ec8bb66387ccb31b33e83850f5775224b7a622826c38cf3bbac38d9e121473ff8cfeb03776d0c2377aad1e514edb91ba7356a5039e5c8c1a1ac915, -538)),
+        '0.3@512': ((-0x4d0de3f2f69c81b9415072d641842afb730adc436c65d592746022c76d9de00f6b8922232e766a48b8544df36b7869b2d3cb1ed67961f3b287c18247bedbe53d9678d36d, -542), (-0x4d0de3f2f69c81b9415072d641842afb730adc436c65d592746022c76d9de00f6b8922232e766a48b8544df36b7869b2d3cb1ed67961f3b287c18247bedbe53d9678d367, -542)),
+        '0.70703125@512': ((-0x2c600616755892770633947ffe651e7352eee5ee8963c476bf74f1c61d3fdc54ac5820a328775e1189781cd0f918099b98559a921f54f7785e6b98d1c78ace4b4bff8e1, -539), (-0xb1801859d56249dc18ce51fff99479cd4bbb97ba258f11dafdd3c71874ff7152b160828ca1dd784625e07343e460266e61566a487d53dde179ae63471e2b392d2ffe37d3, -545)),
+        '1@512': ((0x0, 0), (0x0, 0)),
+        '1.5@512': ((0x67cc8fb2fe612fcada35d9bd014886067d20ffb34547d7c2b38ad78ec59e3b60c2df0cb19edaebb7fadca437b8a073c4752d66d15d6f9b5da7e09dc7febb0e3f4839cab1, -544), (0xcf991f65fcc25f95b46bb37a02910c0cfa41ff668a8faf856715af1d8b3c76c185be19633db5d76ff5b9486f7140e788ea5acda2badf36bb4fc13b8ffd761c7e907395c7, -545)),
+        '2@512': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b, -543), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca17, -544)),
+        '1e30@512': ((0x1144f69ff9ffc42aaf762d191954bb30ca8cddc54797032fb37137933c3a25536d99825546d1b1eadff537e0853323923533803ad79f6495a97ad01f7856d8ad22154523, -534), (0x4513da7fe7ff10aabdd8b4646552ecc32a3377151e5c0cbecdc4de4cf0e8954db66609551b46c7ab7fd4df8214cc8e48d4ce00eb5e7d9256a5eb407de15b62b48855148d, -536)),
+        '0.5@512': ((-0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca17, -544), (-0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b, -543)),
     },
     'raw_exp_integral': {
         '1e-10@128': ((0xb396ce15fcd4ecdab8f7de8d2412fe8b2b8c44b46d4e4a79, -187), (0xb396ce15fcd4ecdab8f7de8d2412fe8b2b8c44b46d6c38f5, -187)),
@@ -515,3 +635,4 @@ PINS: dict = {
         '0.5@512': ((0x1eb02147ce245ba85fd8397397615acf7dea484ec46a31b0f20b2a1ece499479fe1e82d6af1fd8484dcd8cc86e243eb6044c8ee519cfa1ef149d4ff5c24eba174a4fcb9088d5b53, -570), (0x3d60428f9c48b750bfb072e72ec2b59efbd4909d88d46361e416543d9c9328f3fc3d05ad5e3fb0909b9b1990dc487d6c08991dca339f43de293a9feb849d742e949f972111ab6a79, -575)),
     },
 }
+# fmt: on
