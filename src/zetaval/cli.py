@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import rounding as rd
 from .characters import make_elementary
 from .dedekind import DedekindParams, RealQuadraticField, dedekind_enclosure, hilbert_volume, siegel_zeta_minus1
-from .dirichlet import l_one_quadratic, l_truncated
+from .dirichlet import default_l1_terms, l_one_quadratic, l_truncated
 from .elliptic import ReductionKind, derive_quantities, hasse_weil_partial, local_zeta, trace
 from .errors import (
     DivisionByZeroInterval,
@@ -150,7 +150,8 @@ def _build_parser() -> _Parser:
 
     p_lfun = sub.add_parser("lfun", help="L(1, chi_Delta) for a fundamental discriminant")
     p_lfun.add_argument("--delta", type=int, required=True)
-    p_lfun.add_argument("--terms", type=int, default=20)
+    p_lfun.add_argument("--terms", type=int, default=None,
+                        help="series length m (default: where terms fall below the working ulp)")
 
     p_ldir = sub.add_parser("ldir", help="truncated L(s, chi) for prime-modulus chi")
     p_ldir.add_argument("--char", required=True, metavar="q,m")
@@ -217,12 +218,12 @@ def _run_zeta(args, ctx: PrecisionContext, digits: int, t0: float) -> OutputReco
             "width": args.width,
             "N": enc.params.N,
             "k": enc.params.k,
-            "precision": ctx.prec,
+            "precision": enc.prec,
             "meets_target": enc.meets_target,
         }
     else:
         enc = zeta_em(s, EMParams(args.N, args.k), ctx)
-        params = {"re": args.re, "im": args.im, "N": args.N, "k": args.k, "precision": ctx.prec}
+        params = {"re": args.re, "im": args.im, "N": args.N, "k": args.k, "precision": enc.prec}
     return _enclosure_record("zeta", params, enc, digits, t0)
 
 
@@ -316,9 +317,10 @@ def _dispatch(args, ctx: PrecisionContext) -> OutputRecord:
         return _run_zeta_special(args, ctx, digits, t0)
     if args.command == "lfun":
         disc = QuadraticDiscriminant.from_discriminant(args.delta)
-        enc = l_one_quadratic(disc.D, args.terms, ctx)
+        terms = default_l1_terms(args.delta, ctx.prec) if args.terms is None else args.terms
+        enc = l_one_quadratic(disc.D, terms, ctx)
         return _enclosure_record(
-            "lfun", {"delta": args.delta, "terms": args.terms, "precision": ctx.prec}, enc, digits, t0
+            "lfun", {"delta": args.delta, "terms": terms, "precision": enc.prec}, enc, digits, t0
         )
     if args.command == "ldir":
         try:

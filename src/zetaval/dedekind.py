@@ -118,6 +118,7 @@ def dedekind_enclosure(
             params=params,
             remainder_radius=rd.ZERO,  # both factor widenings already applied
             raw_value=raw,
+            prec=ctx.prec,
         )
     if mode != "direct":
         raise DomainError(f"unknown mode {mode!r}")
@@ -148,4 +149,5 @@ def dedekind_enclosure(
         params=params,
         remainder_radius=radius,
         raw_value=total,
+        prec=ctx.prec,
     )

@@ -143,18 +143,41 @@ def erfc_enclosure(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     return fn._monotone_hull(x, ctx, lambda v: _erfc_point(v, ctx.prec + 16), decreasing=True)
 
 
+# the largest m default_l1_terms gives: m grows as sqrt(Delta), so this caps
+# the default near Delta = 2.1e5 at 128 bits (1.3e5 at 256), where the 3000
+# terms take about 7 s on a 2-core VM
+_L1_TERMS_CAP = 3000
+
+
+def _l1_terms(delta: int, prec: int) -> int:
+    """ceil(sqrt((prec + 64) ln 2 Delta/pi)): from this m on e^(-A m^2) is at
+    most 2^-(prec+64), so R_m is far below the working ulp."""
+    return math.ceil(math.sqrt((prec + 64) * math.log(2) * delta / math.pi))
+
+
+def default_l1_terms(delta: int, prec: int) -> int:
+    """The m at which ``l_one_quadratic`` stops adding terms for discriminant
+    delta; DomainError if that m passes _L1_TERMS_CAP."""
+    m = _l1_terms(delta, prec)
+    if m > _L1_TERMS_CAP:
+        raise DomainError(
+            f"Delta={delta} needs m = {m} terms, past the cap of {_L1_TERMS_CAP};"
+            " give the term count"
+        )
+    return m
+
+
 def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
     """Enclosure of L(1, chi_Delta) for the real quadratic field Q(sqrt(D)).
 
-    At most ceil(sqrt((prec + 64) ln 2 Delta/pi)) of the m terms are summed:
-    from there on e^(-A m^2) <= 2^-(prec+64), so R_m is far below the working
-    ulp and further terms cannot narrow the box.  ``params.m`` is the m used.
+    At most ``_l1_terms(Delta, prec)`` of the m terms are summed: further
+    terms cannot narrow the box.  ``params.m`` is the m used.
     """
     if m < 1:
         raise DomainError("need at least one series term")
     chi = make_kronecker(D)
     delta = chi.modulus
-    m = min(m, math.ceil(math.sqrt((ctx.prec + 64) * math.log(2) * delta / math.pi)))
+    m = min(m, _l1_terms(delta, ctx.prec))
     A = ctx.div(fn.pi(ctx), ctx.interval(delta))
     sqrt_delta = ctx.sqrt(ctx.interval(delta))
     sqrt_a = ctx.sqrt(A)
@@ -193,6 +216,7 @@ def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
         params=L1Params(m=m, A=A),
         remainder_radius=radius,
         raw_value=ComplexBox(raw, zero),
+        prec=ctx.prec,
     )
 
 
@@ -249,4 +273,5 @@ def l_truncated(
         params={"N": N, "modulus": chi.modulus},
         remainder_radius=radius,
         raw_value=total,
+        prec=ctx.prec,
     )

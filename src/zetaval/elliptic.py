@@ -180,6 +180,7 @@ def local_zeta(
         params={"p": p, "t_p": info.t_p},
         remainder_radius=rd.ZERO,
         raw_value=value,
+        prec=ctx.prec,
     )
 
 
@@ -229,4 +230,5 @@ def hasse_weil_partial(
         params={"primes_to": primes_to, "log_tail_bound": rd.to_float(b_up, rd.CEIL)},
         remainder_radius=b_up,
         raw_value=ComplexBox(acc, ctx.zero()),
+        prec=ctx.prec,
     )

@@ -10,12 +10,27 @@ The workhorse is the Euler-Maclaurin split
 
 with the classical remainder bound
 
-    |R| <= |(s+2k+1)/(sigma+2k+1)| * |first omitted Bernoulli term|.
+    |R| <= |(s+2k+1)/(sigma+2k+1)| * |first omitted Bernoulli term|
+         = F(s, k) * N**(-sigma-2k-1),
+    F(s, k) = |B_{2k+2}|/(2k+2)! * prod_{i<=2k+1} |s+i| / (sigma+2k+1).
 
-S and B are evaluated in complex rectangular interval arithmetic and the
-remainder bound, taken at its enclosure-maximizing endpoints, is added outward
-to both components, so the reported box contains zeta(s) for every point s of
-the input box.  Exact values at nonpositive integers and at even positive
+S and B are evaluated in complex rectangular interval arithmetic.  B is
+summed by Horner's rule, one complex product per Bernoulli term:
+
+    B(N, k, s) = N**-s * (1/2 + s * acc / N),
+    acc = c_1 + q_1 (c_2 + q_2 (... + q_{k-1} c_k)),
+    c_j = B_{2j}/(2j)!,  q_j = (s**2 + (4j-1) s + (2j-1) 2j) / N**2.
+
+The remainder bound is an upper bound in 64-bit directed arithmetic, whatever
+the working precision: it is only added outward, so its relative slack of
+about 2**-60 moves no enclosure that matters.  F takes sigma_hi in the
+numerator and sigma_lo in the denominator (Re(s) >= 1, so
+|s+i| <= sqrt((sigma_hi+i)**2 + T**2) with T >= |Im s|), and its product is
+one square root.  ``zeta_auto`` computes F once and tries each N at the cost
+of one 64-bit exp for N**-sigma_lo times the exact N**-(2k+1); no log or exp
+runs at the working precision.  The bound is added outward to both
+components, so the reported box contains zeta(s) for every point s of the
+input box.  Exact values at nonpositive integers and at even positive
 integers come from the Bernoulli closed forms and are returned as rationals.
 """
 
@@ -46,16 +61,19 @@ class EMParams:
 
 @dataclass(frozen=True, slots=True)
 class Enclosure:
-    """A certified box, the parameters that produced it, and its error budget.
+    """A certified box, the parameters and precision that produced it, and its
+    error budget.
 
     ``value`` already includes the outward remainder widening; ``raw_value``
-    is the bare truncation (used by the remainder-soundness tests).
+    is the bare truncation (used by the remainder-soundness tests).  ``prec``
+    is the working precision of the sum, which ``zeta_auto`` chooses itself.
     """
 
     value: ComplexBox
     params: object
     remainder_radius: rd.MPF
     raw_value: ComplexBox
+    prec: int
     meets_target: bool | None = None
 
     def remainder_float(self) -> float:
@@ -70,6 +88,10 @@ def _scale_real(z: ComplexBox, c: RealInterval, ctx: PrecisionContext) -> Comple
     return ComplexBox(ctx.mul(z.re, c), ctx.mul(z.im, c))
 
 
+def _plus_real(z: ComplexBox, c: RealInterval, ctx: PrecisionContext) -> ComplexBox:
+    return ComplexBox(ctx.add(z.re, c), z.im)
+
+
 def _check_domain(s: ComplexBox) -> None:
     if rd.cmp(s.re.lo, rd.ONE) < 0:
         raise DomainError("zeta_em requires Re(s) >= 1 over the whole box")
@@ -77,34 +99,47 @@ def _check_domain(s: ComplexBox) -> None:
         raise PoleProximity("the box contains the pole at s = 1")
 
 
-def _em_remainder(s: ComplexBox, N: int, k: int, ctx: PrecisionContext) -> rd.MPF:
-    """Upper bound on the Euler-Maclaurin remainder at cut N with k corrections:
+# the remainder bound is rounded up at _BOUND_PREC bits whatever the working
+# precision; the 2k+2 factors of F's product run at twice that, and log N
+# with exp's 32 guard bits, so their roundings stay far below the final ones
+_BOUND_PREC = 64
+_BOUND_CTX = PrecisionContext(_BOUND_PREC)
+_LOG_CTX = PrecisionContext(_BOUND_PREC + fn._GUARD)
 
-    |(s+2k+1)/(sigma+2k+1)| * |B_{2k+2}/(2k+2)! * prod(s+i) * N^(-s-2k-1)|.
+
+def _em_factor(s: ComplexBox, k: int) -> rd.MPF:
+    """Upper bound on F(s, k) = |B_{2k+2}|/(2k+2)! * prod_{i<=2k+1} |s+i| / (sigma_lo+2k+1)
+    over the box: one square root of prod ((sigma_hi+i)**2 + T**2), T >= |Im s|."""
+    p, wide = _BOUND_PREC, 2 * _BOUND_PREC
+    coef = rd.from_fraction(abs(bernoulli(2 * k + 2)) / math.factorial(2 * k + 2), p, rd.CEIL)
+    t = fn._magnitude(s.im)
+    t2 = rd.mul(t, t, wide, rd.CEIL)
+    prod = rd.ONE
+    for i in range(2 * k + 2):
+        a = rd.add(s.re.hi, rd.from_int(i), wide, rd.CEIL)
+        prod = rd.mul(prod, rd.add(rd.mul(a, a, wide, rd.CEIL), t2, wide, rd.CEIL), wide, rd.CEIL)
+    den = rd.add(s.re.lo, rd.from_int(2 * k + 1), p, rd.FLOOR)
+    return rd.div(rd.mul(coef, rd.sqrt(prod, p, rd.CEIL), p, rd.CEIL), den, p, rd.CEIL)
+
+
+def _em_bound(factor: rd.MPF, s: ComplexBox, N: int, k: int) -> rd.MPF:
+    """Upper bound on the remainder at cut N: F(s, k) * N**-sigma_lo * N**-(2k+1).
+
+    N**-sigma_lo <= exp(-sigma_lo * L) for a lower bound L on log N, one exp
+    at _BOUND_PREC bits; N**-(2k+1) is exact.
     """
-    p = ctx.prec
-    coef_up = rd.from_fraction(abs(bernoulli(2 * k + 2)) / math.factorial(2 * k + 2), p, rd.CEIL)
-    prod_up = rd.ONE
-    for i in range(2 * k + 1):
-        prod_up = rd.mul(prod_up, ctx.cabs_upper(_shifted(s, i, ctx)), p, rd.CEIL)
-    sigma_lo = RealInterval(s.re.lo, s.re.lo)
-    expo = ctx.neg(ctx.mul(ctx.add(sigma_lo, ctx.interval(2 * k + 1)), fn.log(ctx.interval(N), ctx)))
-    npow_up = fn.exp(expo, ctx).hi
-    ratio_up = rd.div(
-        ctx.cabs_upper(_shifted(s, 2 * k + 1, ctx)),
-        rd.add(s.re.lo, rd.from_int(2 * k + 1), p, rd.FLOOR),
-        p,
-        rd.CEIL,
-    )
-    return rd.mul(rd.mul(rd.mul(coef_up, prod_up, p, rd.CEIL), npow_up, p, rd.CEIL), ratio_up, p, rd.CEIL)
+    p = _BOUND_PREC
+    log_lo = fn._log_point(rd.from_int(N), _LOG_CTX).lo
+    x = rd.neg(rd.mul(s.re.lo, log_lo, _LOG_CTX.prec, rd.FLOOR))
+    npow = fn.exp(RealInterval(x, x), _BOUND_CTX).hi
+    return rd.div(rd.mul(factor, npow, p, rd.CEIL), rd.from_int(N ** (2 * k + 1)), p, rd.CEIL)
 
 
-def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure:
-    """Euler-Maclaurin enclosure of zeta over the box s."""
-    _check_domain(s)
+def _em_enclosure(
+    s: ComplexBox, params: EMParams, radius: rd.MPF, ctx: PrecisionContext
+) -> Enclosure:
+    """S(N-1, s) + B(N, k, s), widened by the remainder bound ``radius``."""
     N, k = params.N, params.k
-    radius = _em_remainder(s, N, k, ctx)  # first, so a k past the Bernoulli cap fails at once
-
     table = fn.NegPowerTable(N, s, ctx)
     partial = ctx.box(0)
     for n in range(1, N):
@@ -115,26 +150,46 @@ def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure
     if not certify_nonzero(s_minus_1).is_certified:
         raise PoleProximity("s - 1 could not be certified nonzero")
     big_s = ctx.cadd(partial, ctx.cdiv(n_pow1, s_minus_1))
-
-    big_b = _scale_real(n_pow, ctx.interval(Fraction(1, 2)), ctx)
-    poly = s  # s(s+1)...(s+2j-2), starting at j = 1
-    n_shift = _scale_real(n_pow, ctx.interval(Fraction(1, N)), ctx)  # N**(-s-2j+1)
-    inv_n2 = ctx.interval(Fraction(1, N * N))
-    for j in range(1, k + 1):
-        coef = ctx.interval(bernoulli(2 * j) / math.factorial(2 * j))
-        term = _scale_real(ctx.cmul(poly, n_shift), coef, ctx)
-        big_b = ctx.cadd(big_b, term)
-        if j < k:
-            poly = ctx.cmul(poly, ctx.cmul(_shifted(s, 2 * j - 1, ctx), _shifted(s, 2 * j, ctx)))
-            n_shift = _scale_real(n_shift, inv_n2, ctx)
-
-    raw = ctx.cadd(big_s, big_b)
+    raw = ctx.cadd(big_s, _em_correction(s, N, k, n_pow, ctx))
     return Enclosure(
         value=ctx.cwiden(raw, radius),
         params=params,
         remainder_radius=radius,
         raw_value=raw,
+        prec=ctx.prec,
     )
+
+
+def _bernoulli_coef(j: int, ctx: PrecisionContext) -> RealInterval:
+    """c_j = B_2j/(2j)!"""
+    return ctx.interval(bernoulli(2 * j) / math.factorial(2 * j))
+
+
+def _em_correction(
+    s: ComplexBox, N: int, k: int, n_pow: ComplexBox, ctx: PrecisionContext
+) -> ComplexBox:
+    """B(N, k, s) = N**-s (1/2 + s acc/N) by Horner's rule, n_pow = N**-s:
+    acc = c_k, then acc = c_j + q_j acc for j = k-1, ..., 1."""
+    inv_n2 = ctx.interval(Fraction(1, N * N))
+    s_n2 = _scale_real(s, inv_n2, ctx)
+    sq = ComplexBox(ctx.sub(ctx.sq(s.re), ctx.sq(s.im)), ctx.scale_2exp(ctx.mul(s.re, s.im), 1))
+    sq_n2 = _scale_real(sq, inv_n2, ctx)
+    acc = ctx.box(_bernoulli_coef(k, ctx))
+    for j in range(k - 1, 0, -1):
+        # q_j = (s**2 + (4j-1) s + (2j-1) 2j)/N**2
+        q = ctx.cadd(sq_n2, _scale_real(s_n2, ctx.interval(4 * j - 1), ctx))
+        q = _plus_real(q, ctx.interval(Fraction((2 * j - 1) * 2 * j, N * N)), ctx)
+        acc = _plus_real(ctx.cmul(q, acc), _bernoulli_coef(j, ctx), ctx)
+    inner = _scale_real(ctx.cmul(s, acc), ctx.interval(Fraction(1, N)), ctx)
+    return ctx.cmul(n_pow, _plus_real(inner, ctx.interval(Fraction(1, 2)), ctx))
+
+
+def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure:
+    """Euler-Maclaurin enclosure of zeta over the box s."""
+    _check_domain(s)
+    # the bound first, so a k past the Bernoulli cap fails before any sum
+    radius = _em_bound(_em_factor(s, params.k), s, params.N, params.k)
+    return _em_enclosure(s, params, radius, ctx)
 
 
 # the finest target zeta_auto accepts is 2**-(prec + _TARGET_BITS_PAST_PREC)
@@ -142,14 +197,15 @@ _TARGET_BITS_PAST_PREC = 384
 
 
 def zeta_auto(s: ComplexBox, target_width, ctx: PrecisionContext) -> Enclosure:
-    """One zeta_em call with (N, k, precision) chosen to meet target_width.
+    """One Euler-Maclaurin sum with (N, k, precision) chosen to meet target_width.
 
     With 2**b about 4/target, k = ceil(b/3), and N starts near
     2(T + 2k + 3)/(3 pi), T >= |Im s|, so each factor |s+i|/(2 pi N) of the
-    remainder is near 3/4 or below.  N doubles until four times the remainder
-    bound is within the target, so the widening takes at most half of it; the
-    sum runs at b + log2(N) + 32 bits, so its rounding stays far below the
-    other half.  ``meets_target`` is False when the box is still wider, as
+    remainder is near 3/4 or below.  The N-free factor of the remainder bound
+    is computed once; N doubles until four times the bound is within the
+    target, so the widening takes at most half of it; the sum runs at
+    b + log2(N) + 32 bits, so its rounding stays far below the other half.
+    ``meets_target`` is False when the box is still wider, as
     when the input box alone is; it is still a certified enclosure.  After
     the domain check, DomainError comes up front for a target that is not
     positive or below 2**-(prec + 384), and for an N past the table cap.
@@ -166,12 +222,16 @@ def zeta_auto(s: ComplexBox, target_width, ctx: PrecisionContext) -> Enclosure:
     T = math.ceil(rd.to_fraction(ctx.abs(s.im).hi))
     N = max(2, math.ceil(2 * (T + 2 * k + 3) / (3 * Fraction(355, 113))))  # 355/113 ~ pi
     target_lo = rd.from_fraction(target, ctx.prec, rd.FLOOR)
-    while N <= fn._TABLE_CAP and rd.cmp(rd.mul_2exp(_em_remainder(s, N, k, ctx), 2), target_lo) > 0:
+    factor = _em_factor(s, k)
+    while N <= fn._TABLE_CAP:
+        radius = _em_bound(factor, s, N, k)
+        if rd.cmp(rd.mul_2exp(radius, 2), target_lo) <= 0:
+            break
         N *= 2
-    if N > fn._TABLE_CAP:
+    else:
         raise DomainError(f"zeta_auto would need N = {N}, past the cap of {fn._TABLE_CAP}")
     wp = max(ctx.prec, b + N.bit_length() + 32)
-    enc = zeta_em(s, EMParams(N, k), PrecisionContext(wp))
+    enc = _em_enclosure(s, EMParams(N, k), radius, PrecisionContext(wp))
     widths = (rd.sub(c.hi, c.lo, wp, rd.CEIL) for c in (enc.value.re, enc.value.im))
     return replace(enc, meets_target=all(rd.cmp(w, target_lo) <= 0 for w in widths))
 

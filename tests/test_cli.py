@@ -250,3 +250,10 @@ def test_point_count_limits_are_fast_domain_errors(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "Traceback" not in err, argv
         assert time.monotonic() - t0 < 1, argv
+
+
+def test_width_mode_reports_the_precision_it_summed_at(capsys):
+    # b = 500 bits for 1e-150, N = 72 has 7 bits: 500 + 7 + 32
+    code, out, _ = run(capsys, "--json", "zeta", "--re", "2", "--im", "1", "--width", "1e-150")
+    assert code == 0
+    assert json.loads(out)["params"]["precision"] == 539

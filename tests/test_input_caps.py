@@ -3,6 +3,7 @@ up front, and every A_p of the Hasse-Weil product comes from one batch count."""
 
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -81,3 +82,20 @@ def test_lfun_sums_no_more_terms_than_can_narrow_the_box(capsys, terms):
     clamped = json.loads(capsys.readouterr().out)["value"]
     assert main(["--json", "lfun", "--delta", "5", "--terms", "15"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == clamped
+
+
+def test_lfun_default_terms_give_a_narrow_box(capsys):
+    # m = ceil(sqrt((128 + 64) ln 2 1001/pi)) = 206 terms
+    assert main(["--json", "lfun", "--delta", "1001"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"]["terms"] == 206
+    re = payload["value"]["re"]
+    assert Fraction(Decimal(re["hi"])) - Fraction(Decimal(re["lo"])) < Fraction(1, 10**15)
+
+
+def test_lfun_refuses_a_delta_past_the_default_term_cap(capsys):
+    t0 = time.monotonic()
+    assert main(["lfun", "--delta", "999999999989"]) == 2
+    err = capsys.readouterr().err
+    assert "past the cap of 3000" in err and "Traceback" not in err
+    assert time.monotonic() - t0 < 2

@@ -41,7 +41,7 @@ def test_values_a_caller_keeps_carry_no_instance_dict():
     # per-instance dict each kept zeta output is about 15% smaller
     x = _iv(1, 2)
     box = ComplexBox(x, x)
-    for obj in (x, box, Enclosure(box, None, rd.ZERO, box)):
+    for obj in (x, box, Enclosure(box, None, rd.ZERO, box, 128)):
         assert not hasattr(obj, "__dict__")
 
 

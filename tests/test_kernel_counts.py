@@ -11,8 +11,9 @@ from zetaval import rounding as rd
 from zetaval.characters import char_value, make_elementary
 from zetaval.elliptic import derive_quantities, hasse_weil_partial, trace
 from zetaval.errors import DomainError
+from zetaval.exact import primes_up_to
 from zetaval.interval import ComplexBox, PrecisionContext
-from zetaval.zeta import zeta_auto
+from zetaval.zeta import EMParams, zeta_auto, zeta_em
 
 ctx = PrecisionContext(128)
 
@@ -130,6 +131,42 @@ def test_zeta_auto_refuses_a_cut_past_the_table_cap_before_any_table(tables):
     with pytest.raises(DomainError, match="cap"):
         zeta_auto(s, Fraction(1, 10**10), ctx)
     assert tables == []
+
+
+def _recording(monkeypatch, owner, attr, record):
+    inner = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        record(*args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+def test_zeta_em_bound_takes_no_working_precision_log_and_one_exp(monkeypatch):
+    # at a non-integer s the table takes one exp per prime up to N; the
+    # remainder bound takes one more, at 64 bits, and log N only at 96
+    s = ComplexBox(ctx.interval(Fraction(3, 2)), ctx.interval(Fraction(7, 3)))
+    zeta_em(s, EMParams(32, 6), ctx)  # fills the log(p) cache
+    logs, log_points, exps = [], [], []
+    _recording(monkeypatch, fn, "log", lambda x, c: logs.append(c.prec))
+    _recording(monkeypatch, fn, "_log_point", lambda v, c: log_points.append(c.prec))
+    _recording(monkeypatch, fn, "exp", lambda x, c: exps.append(c.prec))
+    zeta_em(s, EMParams(32, 6), ctx)
+    assert logs == [] and all(p < ctx.prec for p in log_points)
+    assert len(exps) == len(primes_up_to(32)) + 1 and min(exps) == 64
+
+
+def test_zeta_em_correction_takes_one_cmul_per_bernoulli_term(monkeypatch):
+    s = ComplexBox(ctx.interval(Fraction(3, 2)), ctx.interval(Fraction(7, 3)))
+    cmuls = []
+    _recording(monkeypatch, PrecisionContext, "cmul", lambda *args: cmuls.append(1))
+    made = {}
+    for k in (1, 6, 20):
+        cmuls.clear()
+        zeta_em(s, EMParams(32, k), ctx)
+        made[k] = len(cmuls)
+    assert made[6] - made[1] == 5 and made[20] - made[6] == 14
 
 
 def test_point_counts_near_1e6_never_loop_over_the_field(monkeypatch):

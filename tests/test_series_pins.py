@@ -221,6 +221,22 @@ def test_moved_series_pins_contain_the_value_and_meet_the_old_boxes(group):
                 assert rd.cmp(old_lo, lo) <= 0 and rd.cmp(hi, old_hi) <= 0, key
 
 
+# EM_LOOP_PINS, at the end of the file, holds the zeta_em(1+i) box of the
+# Euler-Maclaurin loop that summed the Bernoulli terms one by one and bounded
+# the remainder at the working precision.  The new box must contain the value,
+# meet its old box and be no wider than it by more than 2**-56 relative.
+def test_zeta_em_pin_contains_the_value_and_meets_the_loop_box():
+    with mpmath.workprec(2 * 128 + 32):
+        z = mpmath.zeta(mpmath.mpc(1, 1))
+    values = [Fraction(-m if sign else m) * Fraction(2) ** e
+              for sign, m, e, _ in (z.real._mpf_, z.imag._mpf_)]
+    for (lo, hi), (old_lo, old_hi), v in zip(PINS["zeta_em"]["value"], EM_LOOP_PINS["zeta_em"], values):
+        assert rd.to_fraction(lo) <= v <= rd.to_fraction(hi)
+        assert rd.cmp(lo, old_hi) <= 0 and rd.cmp(old_lo, hi) <= 0
+        old_width = rd.to_fraction(old_hi) - rd.to_fraction(old_lo)
+        assert rd.to_fraction(hi) - rd.to_fraction(lo) <= old_width * (1 + Fraction(1, 2**56))
+
+
 def _render(v) -> str:
     if isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v):
         return f"({v[0]:#x}, {v[1]})"
@@ -404,7 +420,7 @@ PINS: dict = {
     },
     'zeta_em': {
         'value': (((0x95084f83bcd7e9335b9bb14f740a68b3, -128), (0x95084f83bcd7e9335cd7d5d6539fd705, -128)), ((-0xed45f2902536df0b039b18393891a0d9, -128), (-0x3b517ca4094db7c2c097bcec963f0c9f, -126))),
-        'radius': (0x278490dbf2adb71be9b2755c18fd85a5, -198),
+        'radius': (0x278490dbf2adb71d, -134),
     },
     'l_one_quadratic': {
         'value': (((0xa9a906ce8e2b3bd4e27d4bc88ae30405, -128), (0x54d4836747159deb363dfd9a3bbf733d, -127)), ((0x0, 0), (0x0, 0))),
@@ -634,5 +650,12 @@ SERIES_PATH_PINS: dict = {
         '7@512': ((0xca4c507d2cc0ceda44773ac5ecdc675cb7a67079fabf93c55a584d684bb206a7e298b9a6e3a60d9d591353ddf6aed127a931cc49c853310d45c9b7ed90d9fae7f86fc6bb, -618), (0x32c20049c18acb310e78dbf2be3cf49ebec19f01e92e1ef719d4601966ce92584d07e9cebe0942eaec4b7881446c40c4445ffd6001956c444df048310b8848e4f8e0b6f3, -616)),
         '0.5@512': ((0x1eb02147ce245ba85fd8397397615acf7dea484ec46a31b0f20b2a1ece499479fe1e82d6af1fd8484dcd8cc86e243eb6044c8ee519cfa1ef149d4ff5c24eba174a4fcb9088d5b53, -570), (0x3d60428f9c48b750bfb072e72ec2b59efbd4909d88d46361e416543d9c9328f3fc3d05ad5e3fb0909b9b1990dc487d6c08991dca339f43de293a9feb849d742e949f972111ab6a79, -575)),
     },
+}
+# fmt: on
+
+
+# fmt: off
+EM_LOOP_PINS: dict = {
+    'zeta_em': (((0x95084f83bcd7e9335b9bb14f740a68b3, -128), (0x95084f83bcd7e9335cd7d5d6539fd705, -128)), ((-0xed45f2902536df0b039b18393891a0d9, -128), (-0x3b517ca4094db7c2c097bcec963f0c9f, -126))),
 }
 # fmt: on

@@ -7,7 +7,10 @@ plus ``params`` and ``meets_target``, at 128 and 256 bits.  The five cases
 include a box of nonzero radius.  Their labels name the round of the earlier
 doubling schedule that answered them; ``OLD_PINS`` keeps the value box that
 schedule returned, and each new box must meet its target, contain mpmath's
-value and intersect its old box.  Regenerate ``PINS`` with
+value and intersect its old box.  ``EM_LOOP_PINS`` keeps the value box of
+each case from before the remainder bound went to 64 bits and the Bernoulli
+correction to Horner's rule; each new box must meet it and be no wider than it
+by more than 2**-56 relative.  Regenerate ``PINS`` with
 ``python tests/test_zeta_auto_pins.py`` only for a change that is meant to move
 outputs.
 """
@@ -99,6 +102,16 @@ def test_zeta_auto_meets_target_contains_mpmath_and_meets_old_box(key):
     assert value.intersects(ComplexBox(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi)))
 
 
+@pytest.mark.parametrize("key", KEYS)
+def test_zeta_auto_meets_the_loop_box_and_is_no_wider(key):
+    label, prec = key.rsplit("@", 1)
+    value = _run(label, int(prec)).value
+    for c, (lo, hi) in zip((value.re, value.im), EM_LOOP_PINS[key]):
+        old = RealInterval(lo, hi)
+        assert c.intersects(old)
+        assert c.width_fraction() <= old.width_fraction() * (1 + Fraction(1, 2**56))
+
+
 def _render(v) -> str:
     if isinstance(v, (bool, EMParams)):
         return repr(v)
@@ -141,74 +154,90 @@ OLD_PINS: dict = {
     'capped_s2@256': (((0x694699894c1f4c8c39ec48910059f9b5071f059d680c0b30e54111d3ecea28a21577b13d, -286), (0x34a34cc4a60fa6461cf62448874494721b271a664b9d9d300a3820818e0cabe8a2537045, -285)), ((-0x38bcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcd5, -385), (0x38bcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcbcd5, -385))),
 }
 
+# value boxes of the Euler-Maclaurin loop that summed the Bernoulli terms one
+# by one and bounded the remainder at the working precision; each new box must
+# meet its old one and be no wider than it by more than 2**-56 relative
+EM_LOOP_PINS: dict = {
+    'round1_s2@128': (((0xd28d3312983e98ddb591f37f04a2827f, -127), (0x694699894c1f4c9205ba3b620b4c1fd, -122)), ((-0x8cabc5068a23eb7a3502e9157e3f8c75, -185), (0x8cabc5068a23eb7a3502e9157e3f8c75, -185))),
+    'round2_s2.5+25i@128': (((0xecf686dfaec1bbd2fb7c476f6725f3f9, -128), (0x767b436fd760dde97f3ee1b8a1bf2ea7, -127)), ((0x7a4be0fcb1208d76662a4da9c972b88d, -130), (0x7a4be0fcb1208d7672303db13ad45d8f, -130))),
+    'round3_s1.5+18i@128': (((0xc5ce52d286728233f9a178c458848d01, -127), (0xc5ce52d286728233f9a178c458851487, -127)), ((-0x9465206c170a24820062dfa6132c8fb7, -131), (-0x4a3290360b85124100316fd309920be3, -130))),
+    'box_s3+10i@128': (((0x232fa0a41e3e896467ceebac2781126b, -125), (0x465f41483c7d12c8cf9dd766b5c01955, -126)), ((-0xc9848c4778dfd7713f18dc536fd9f1fb, -132), (-0xc9848c4778dfd7713f18d8b9c04eb05f, -132))),
+    'capped_s2@128': (((0x694699894c1f4c8c39ec4891005d672f5ae446d5401, -170), (0x694699894c1f4c8c39ec4891005d672f5ae446d5413, -170)), ((-0x11c5f3734571fc28a0412f5fc24dac123b483820f5b, -341), (0x11c5f3734571fc28a0412f5fc24dac123b483820f5b, -341))),
+    'round1_s2@256': (((0x694699894c1f4c6edac8f9bf82514140c347da10114a70b06679aebc31bde9ff, -254), (0xd28d3312983e99240b7476c416983f9c08043edf425b088aab7249fe379436eb, -255)), ((-0x4655e2834511f5bd1a81748abf1fc62729de7eec85d41862e7855e3358e2e3ef, -312), (0x4655e2834511f5bd1a81748abf1fc62729de7eec85d41862e7855e3358e2e3ef, -312))),
+    'round2_s2.5+25i@256': (((0x3b3da1b7ebb06ef4bedf11dbd9c97d0353a2c09ac4f67de01c2bede353f4eb95, -254), (0xecf686dfaec1bbd2fe7dc371437e5d39d3ba0088789d803583f24275ffc53c53, -256)), ((0x3d25f07e589046bb331526d4e4b95c5a064738d3cd5691ed4ad3371f76af79b5, -257), (0xf497c1f962411aece4607b6275a8bacc4294d43a5b768d5dc56133c35a4a561f, -259))),
+    'round3_s1.5+18i@256': (((0xc5ce52d286728233f9a178c458848d14412941e5f13afc272c267a665cae279, -251), (0xc5ce52d286728233f9a178c45885146b7222c23484a3ba2b11bc16335db3162d, -255)), ((-0x128ca40d82e14490400c5bf4c26591d3e42aa7d7b407b0abff2608b401e6e231, -256), (-0x4a3290360b85124100316fd309920c9608de9cea34d8d290cfeb4467ff741437, -258))),
+    'box_s3+10i@256': (((0x8cbe829078fa25919f3baeb09e0449b2cbe8bb9da437aaaa510c87c666a4fa81, -255), (0x8cbe829078fa25919f3baecd6b8032a1db04ed1b7f9f77114917aab56d2a2ffd, -255)), ((-0xc9848c4778dfd7713f18dc536fd9f1c3983f715dc7832ecf1a183ee24e97f, -248), (-0xc9848c4778dfd7713f18d8b9c04eb08fca26d2ea0756e036ad5c58c4816c8891, -260))),
+    'capped_s2@256': (((0xd28d3312983e991873d8912200bace5eb5c88daa81149c27beb240ffada78e4f, -255), (0xd28d3312983e991873d8912200bace5eb5c88daa811d7f217854f9fdc1f7aef7, -255)), ((-0x8e2f9b9a2b8fe14502097afe126d6091da41c1078f60ccb31c15e6d7c87ab699, -428), (0x8e2f9b9a2b8fe14502097afe126d6091da41c1078f60ccb31c15e6d7c87ab699, -428))),
+}
+
 PINS: dict = {
     'round1_s2@128': {
-        'value': (((0xd28d3312983e98ddb591f37f04a2827f, -127), (0x694699894c1f4c9205ba3b620b4c1fd, -122)), ((-0x8cabc5068a23eb7a3502e9157e3f8c75, -185), (0x8cabc5068a23eb7a3502e9157e3f8c75, -185))),
+        'value': (((0xd28d3312983e98ddb591f37f04a281cd, -127), (0x694699894c1f4c9205ba3b620b4c2029, -126)), ((-0x8cabc5068a23eb7d, -121), (0x8cabc5068a23eb7d, -121))),
         'raw_value': (((0xd28d3312983e9900e08335218d9d610d, -127), (0x694699894c1f4c8070419a90c6ceb089, -126)), ((0x0, 0), (0x0, 0))),
-        'radius': (0x8cabc5068a23eb7a3502e9157e3f8c75, -185),
+        'radius': (0x8cabc5068a23eb7d, -121),
         'params': EMParams(N=7, k=14),
         'meets_target': True,
     },
     'round2_s2.5+25i@128': {
-        'value': (((0xecf686dfaec1bbd2fb7c476f6725f3f9, -128), (0x767b436fd760dde97f3ee1b8a1bf2ea7, -127)), ((0x7a4be0fcb1208d76662a4da9c972b88d, -130), (0x7a4be0fcb1208d7672303db13ad45d8f, -130))),
-        'raw_value': (((0xecf686dfaec1bbd2fcfd05705552289, -124), (0xecf686dfaec1bbd2fcfd0570555228b7, -128)), ((0xf497c1f962411aecd85a8b5b044715cd, -131), (0xf497c1f962411aecd85a8b5b0447166b, -131))),
-        'radius': (0x602f803b8b0d2590a5dfc3ac987116e1, -198),
+        'value': (((0xecf686dfaec1bbd2fb7c476f6725f3f9, -128), (0x767b436fd760dde97f3ee1b8a1bf2ea7, -127)), ((0xf497c1f962411aeccc549b5392e5711b, -131), (0x7a4be0fcb1208d7672303db13ad45d8f, -130))),
+        'raw_value': (((0xecf686dfaec1bbd2fcfd05705552289, -124), (0xecf686dfaec1bbd2fcfd0570555228b7, -128)), ((0x7a4be0fcb1208d766c2d45ad82238ae7, -130), (0xf497c1f962411aecd85a8b5b0447166b, -131))),
+        'radius': (0x3017c01dc58692c9, -133),
         'params': EMParams(N=15, k=20),
         'meets_target': True,
     },
     'round3_s1.5+18i@128': {
-        'value': (((0xc5ce52d286728233f9a178c458848d01, -127), (0xc5ce52d286728233f9a178c458851487, -127)), ((-0x9465206c170a24820062dfa6132c8fb7, -131), (-0x4a3290360b85124100316fd309920be3, -130))),
-        'raw_value': (((0xc5ce52d286728233f9a178c45884d0ad, -127), (0xc5ce52d286728233f9a178c45884d0db, -127)), ((-0x9465206c170a24820062dfa6132854fd, -131), (-0x128ca40d82e14490400c5bf4c2650a5, -124))),
-        'radius': (0x10eae61f3009d26d17c07cb2b379a033, -237),
+        'value': (((0xc5ce52d286728233f9a178c458848d01, -127), (0xc5ce52d286728233f9a178c458851487, -127)), ((-0x4a3290360b85124100316fd3099647db, -130), (-0x9465206c170a24820062dfa6132417c7, -131))),
+        'raw_value': (((0xc5ce52d286728233f9a178c45884d0ad, -127), (0xc5ce52d286728233f9a178c45884d0db, -127)), ((-0x2519481b05c289208018b7e984ca153f, -129), (-0x9465206c170a24820062dfa613285281, -131))),
+        'radius': (0x875730f9804e936d, -176),
         'params': EMParams(N=18, k=31),
         'meets_target': True,
     },
     'box_s3+10i@128': {
-        'value': (((0x232fa0a41e3e896467ceebac2781126b, -125), (0x465f41483c7d12c8cf9dd766b5c01955, -126)), ((-0xc9848c4778dfd7713f18dc536fd9f1fb, -132), (-0xc9848c4778dfd7713f18d8b9c04eb05f, -132))),
-        'raw_value': (((0x465f41483c7d12c8cf9dd75f81066a41, -126), (0x232fa0a41e3e896467ceebafc1dde9f5, -125)), ((-0xc9848c4778dfd7713f18da86eec89743, -132), (-0xc9848c4778dfd7713f18da8641600b17, -132))),
-        'radius': (0x3990222b56fb1c3fb3f20aeae20fafcf, -217),
+        'value': (((0x465f41483c7d12c8cf9dd7584f0224d9, -126), (0x232fa0a41e3e896467ceebb35ae00ca9, -125)), ((-0xc9848c4778dfd7713f18dc536fd9f139, -132), (-0xc9848c4778dfd7713f18d8b9c04eb121, -132))),
+        'raw_value': (((0x1197d0520f1f44b233e775d7e0419a91, -124), (0x465f41483c7d12c8cf9dd75f83bbd3e7, -126)), ((-0xc9848c4778dfd7713f18da86eec89681, -132), (-0xc9848c4778dfd7713f18da8641600bd9, -132))),
+        'radius': (0x3990222b56fb1c41, -153),
         'params': EMParams(N=13, k=23),
         'meets_target': True,
     },
     'capped_s2@128': {
-        'value': (((0x694699894c1f4c8c39ec4891005d672f5ae446d5401, -170), (0x694699894c1f4c8c39ec4891005d672f5ae446d5413, -170)), ((-0x11c5f3734571fc28a0412f5fc24dac123b483820f5b, -341), (0x11c5f3734571fc28a0412f5fc24dac123b483820f5b, -341))),
+        'value': (((0x694699894c1f4c8c39ec4891005d672f5ae446d5401, -170), (0x694699894c1f4c8c39ec4891005d672f5ae446d5413, -170)), ((-0x11c5f3734571fc29, -233), (0x11c5f3734571fc29, -233))),
         'raw_value': (((0x34a34cc4a60fa6461cf62448802eb397ad72236aa01, -169), (0x34a34cc4a60fa6461cf62448802eb397ad72236aa09, -169)), ((0x0, 0), (0x0, 0))),
-        'radius': (0x11c5f3734571fc28a0412f5fc24dac123b483820f5b, -341),
+        'radius': (0x11c5f3734571fc29, -233),
         'params': EMParams(N=20, k=45),
         'meets_target': True,
     },
     'round1_s2@256': {
-        'value': (((0x694699894c1f4c6edac8f9bf82514140c347da10114a70b06679aebc31bde9ff, -254), (0xd28d3312983e99240b7476c416983f9c08043edf425b088aab7249fe379436eb, -255)), ((-0x4655e2834511f5bd1a81748abf1fc62729de7eec85d41862e7855e3358e2e3ef, -312), (0x4655e2834511f5bd1a81748abf1fc62729de7eec85d41862e7855e3358e2e3ef, -312))),
+        'value': (((0x694699894c1f4c6edac8f9bf825140e763a4fcbfd93bfa7ade1969dda6c402b9, -254), (0xd28d3312983e99240b7476c41698404ec749f97fb277f4f5bc32d3bb4d880577, -255)), ((-0x8cabc5068a23eb7d, -121), (0x8cabc5068a23eb7d, -121))),
         'raw_value': (((0x694699894c1f4c8070419a90c6ceb08763a4fcbfd93bfa7ade1969dda6c402b9, -254), (0xd28d3312983e9900e08335218d9d610ec749f97fb277f4f5bc32d3bb4d880577, -255)), ((0x0, 0), (0x0, 0))),
-        'radius': (0x4655e2834511f5bd1a81748abf1fc62729de7eec85d41862e7855e3358e2e3ef, -312),
+        'radius': (0x8cabc5068a23eb7d, -121),
         'params': EMParams(N=7, k=14),
         'meets_target': True,
     },
     'round2_s2.5+25i@256': {
-        'value': (((0x3b3da1b7ebb06ef4bedf11dbd9c97d0353a2c09ac4f67de01c2bede353f4eb95, -254), (0xecf686dfaec1bbd2fe7dc371437e5d39d3ba0088789d803583f24275ffc53c53, -256)), ((0x3d25f07e589046bb331526d4e4b95c5a064738d3cd5691ed4ad3371f76af79b5, -257), (0xf497c1f962411aece4607b6275a8bacc4294d43a5b768d5dc56133c35a4a561f, -259))),
+        'value': (((0x3b3da1b7ebb06ef4bedf11dbd9c97d035248a05e718eeef6be943f4069f31d5, -250), (0xecf686dfaec1bbd2fe7dc371437e5d39d9228179c63bbbdafa50fd01a7cc7567, -256)), ((0x7a4be0fcb1208d76662a4da9c972b8b3f6ec6de264343544bc2b84104d420f19, -258), (0xf497c1f962411aece4607b6275a8bacc6dd8dbc4c8686a89785708209a841ec1, -259))),
         'raw_value': (((0x3b3da1b7ebb06ef4bf3f415c15548a28e448a05e718eeef6be943f4069f31d5, -250), (0xecf686dfaec1bbd2fcfd0570555228a391228179c63bbbdafa50fd01a7cc7567, -256)), ((0x7a4be0fcb1208d766c2d45ad82238b0d16ec6de264343544bc2b84104d420f19, -258), (0xf497c1f962411aecd85a8b5b0447161a2dd8dbc4c8686a89785708209a841ec1, -259))),
-        'radius': (0x602f803b8b0d2590a5dfc3ac987116a268515d15fe31bae82d516964d718f33d, -326),
+        'radius': (0x3017c01dc58692c9, -133),
         'params': EMParams(N=15, k=20),
         'meets_target': True,
     },
     'round3_s1.5+18i@256': {
-        'value': (((0xc5ce52d286728233f9a178c458848d14412941e5f13afc272c267a665cae279, -251), (0xc5ce52d286728233f9a178c45885146b7222c23484a3ba2b11bc16335db3162d, -255)), ((-0x128ca40d82e14490400c5bf4c26591d3e42aa7d7b407b0abff2608b401e6e231, -256), (-0x4a3290360b85124100316fd309920c9608de9cea34d8d290cfeb4467ff741437, -258))),
-        'raw_value': (((0xc5ce52d286728233f9a178c45884d0bfd9a6020d3aef5b291ef1484cdd309ec7, -255), (0x62e7296943394119fcd0bc622c42685fecd301069d77ad948f78a4266e984f7b, -254)), ((-0x4a3290360b85124100316fd3099429f2ccc49e24827bcaa06641b39c0387cf13, -258), (-0x9465206c170a24820062dfa6132853e599893c4904f79540cc836738070f9bd, -255))),
-        'radius': (0x875730f9804e9368be03e5959bcd0104ee6c320afd9eba067593ae04fb8e30eb, -368),
+        'value': (((0xc5ce52d286728233f9a178c458848d14412941e5f138db291ef1484cdd309ec7, -255), (0x62e7296943394119fcd0bc622c428a35b911611a4252ed948f78a4266e984f7b, -254)), ((-0x9465206c170a24820062dfa6132c8e9f21553ebda05f9540cc836738070f9e25, -259), (-0x9465206c170a24820062dfa61324192c11bd39d4698f9540cc836738070f9bd1, -259))),
+        'raw_value': (((0xc5ce52d286728233f9a178c45884d0bfd9a6020d3aef5b291ef1484cdd309ec7, -255), (0x62e7296943394119fcd0bc622c42685fecd301069d77ad948f78a4266e984f7b, -254)), ((-0x9465206c170a24820062dfa6132853e599893c4904f79540cc836738070f9e25, -259), (-0x9465206c170a24820062dfa6132853e599893c4904f79540cc836738070f9bd1, -259))),
+        'radius': (0x875730f9804e936d, -176),
         'params': EMParams(N=18, k=31),
         'meets_target': True,
     },
     'box_s3+10i@256': {
-        'value': (((0x8cbe829078fa25919f3baeb09e0449b2cbe8bb9da437aaaa510c87c666a4fa81, -255), (0x8cbe829078fa25919f3baecd6b8032a1db04ed1b7f9f77114917aab56d2a2ffd, -255)), ((-0xc9848c4778dfd7713f18dc536fd9f1c3983f715dc7832ecf1a183ee24e97f, -248), (-0xc9848c4778dfd7713f18d8b9c04eb08fca26d2ea0756e036ad5c58c4816c8891, -260))),
-        'raw_value': (((0x8cbe829078fa25919f3baebf020cd4888aafcb8aa0ba6562d4f86408add60e17, -255), (0x8cbe829078fa25919f3baebf0777a7cc1c3ddd2e831cbc58c52bce7325f91c67, -255)), ((-0x32612311de37f5dc4fc636a1bbb225c2efd75cef8dcaf5efa7272da65a1d5f51, -258), (-0xc9848c4778dfd7713f18da8641600b47a308d08997ae37472ad7e10d678efb4d, -260))),
-        'radius': (0x73204456adf6387f67e415d5c41f5ee21239889caee27dc6126a31a6957d0539, -346),
+        'value': (((0x8cbe829078fa25919f3baeb09e0449b8d99cf04b073e6643fa9baee031bb8a0d, -255), (0x8cbe829078fa25919f3baecd6b80329bcd50b86e1c98bb779f88839ce051a5b9, -255)), ((-0x64c24623bc6febb89f8c6e29b7ecf880f0dc6dd8b355ddccf419add4bfe2e35b, -259), (-0x19309188ef1bfaee27e31b173809d62a3015ad12cd05ca6d7be8277ad60fb325, -257))),
+        'raw_value': (((0x8cbe829078fa25919f3baebf020cd48e9864008b073e6643fa9baee031bb8a0d, -255), (0x8cbe829078fa25919f3baebf0777a7c60e89a82e1c98bb779f88839ce051a5b9, -255)), ((-0x64c24623bc6febb89f8c6d4377644b25046b69d8b355ddccf419add4bfe2e35b, -259), (-0x19309188ef1bfaee27e31b50c82c01812b31ee12cd05ca6d7be8277ad60fb325, -257))),
+        'radius': (0x3990222b56fb1c41, -153),
         'params': EMParams(N=13, k=23),
         'meets_target': True,
     },
     'capped_s2@256': {
-        'value': (((0xd28d3312983e991873d8912200bace5eb5c88daa81149c27beb240ffada78e4f, -255), (0xd28d3312983e991873d8912200bace5eb5c88daa811d7f217854f9fdc1f7aef7, -255)), ((-0x8e2f9b9a2b8fe14502097afe126d6091da41c1078f60ccb31c15e6d7c87ab699, -428), (0x8e2f9b9a2b8fe14502097afe126d6091da41c1078f60ccb31c15e6d7c87ab699, -428))),
+        'value': (((0xd28d3312983e991873d8912200bace5eb5c88daa81149c27beb240ffad8f9e9b, -255), (0xd28d3312983e991873d8912200bace5eb5c88daa811d7f217854f9fdc20f9eab, -255)), ((-0x11c5f3734571fc29, -233), (0x11c5f3734571fc29, -233))),
         'raw_value': (((0xd28d3312983e991873d8912200bace5eb5c88daa81190da49b839d7eb7cf9e9b, -255), (0xd28d3312983e991873d8912200bace5eb5c88daa81190da49b839d7eb7cf9eab, -255)), ((0x0, 0), (0x0, 0))),
-        'radius': (0x8e2f9b9a2b8fe14502097afe126d6091da41c1078f60ccb31c15e6d7c87ab699, -428),
+        'radius': (0x11c5f3734571fc29, -233),
         'params': EMParams(N=20, k=45),
         'meets_target': True,
     },
