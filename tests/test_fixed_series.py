@@ -1,8 +1,11 @@
-"""The fixed-point series kernel behind sin/cos, log, E1 and erfc.
+"""The fixed-point series kernel behind every series in zetaval.
 
-Each point evaluator must contain mpmath's value at 2 prec + 32 bits, and its
-raw box may be no wider than the box the interval series gave before the
-kernel (kept here as a test-local oracle) plus 2**8 ulp of the raw precision.
+sin/cos, log, atan, E1, erfc and the pi and ln2 references all sum on
+``_fixed_series``.  Each must contain mpmath's value at 2 prec + 32 bits, and
+its raw box may be no wider than the box the interval series gave before the
+kernel plus 2**8 ulp of the raw precision.  Those interval series, with the
+term generators and the summation loop they ran on, are kept here as
+test-local oracles.
 """
 
 import itertools
@@ -46,6 +49,20 @@ def _check(new: RealInterval, old: RealInterval, f, v: rd.MPF, prec: int, raw_pr
 # --- the interval-series evaluators the kernel replaced ----------------------
 
 
+def _power_terms(ctx, t, w, dens):
+    """t*w/d1, t*w**2/(d1*d2), ...: each term is the last times w over the next d."""
+    for d in dens:
+        t = ctx.div(ctx.mul(t, w), ctx.interval(d))
+        yield t
+
+
+def _odd_power_terms(ctx, p, w):
+    """p*w**j/(2j+1) for j = 0, 1, ...: the atan/atanh series shape."""
+    for j in itertools.count():
+        yield ctx.div(p, ctx.interval(2 * j + 1))
+        p = ctx.mul(p, w)
+
+
 def _old_sum(ctx, total, terms, *, stop_after=False, min_terms=0, geometric=None):
     """The interval summation the point series used: stop at a term below
     2**-(prec+8) past min_terms terms, widen by the first omitted term."""
@@ -73,8 +90,8 @@ def _old_sin_cos_point(v, ctx):
     w = ctx.neg(ctx.sq(r))
     odd = ((i + 1) * (i + 2) for i in itertools.count(1, 2))
     even = ((i + 1) * (i + 2) for i in itertools.count(0, 2))
-    s = _old_sum(ctx, r, fn._power_terms(ctx, r, w, odd))
-    c = _old_sum(ctx, ctx.one(), fn._power_terms(ctx, ctx.one(), w, even))
+    s = _old_sum(ctx, r, _power_terms(ctx, r, w, odd))
+    c = _old_sum(ctx, ctx.one(), _power_terms(ctx, ctx.one(), w, even))
     for _ in range(k % 4):
         s, c = c, ctx.neg(s)
     return s, c
@@ -89,7 +106,7 @@ def _old_log_point(v, ctx):
         u = ctx.scale_2exp(u, 1)
         n -= 1
     z = ctx.div(ctx.sub(u, ctx.one()), ctx.add(u, ctx.one()))
-    total = _old_sum(ctx, ctx.zero(), fn._odd_power_terms(ctx, z, ctx.sq(z)),
+    total = _old_sum(ctx, ctx.zero(), _odd_power_terms(ctx, z, ctx.sq(z)),
                      geometric=Fraction(33, 32))
     total = ctx.scale_2exp(total, 1)
     if n:
@@ -101,7 +118,7 @@ def _old_e1_series_point(v, out_prec):
     xf = rd.to_float(v, rd.CEIL)
     ctx = PrecisionContext(out_prec + int(1.45 * xf) + 48)
     x = RealInterval(v, v)
-    powers = fn._power_terms(ctx, ctx.neg(ctx.one()), ctx.neg(x), itertools.count(1))
+    powers = _power_terms(ctx, ctx.neg(ctx.one()), ctx.neg(x), itertools.count(1))
     terms = (ctx.div(p, ctx.interval(k)) for k, p in enumerate(powers, 1))
     total = _old_sum(ctx, ctx.zero(), terms, stop_after=True, min_terms=xf)
     return ctx.sub(ctx.sub(total, fn.euler_gamma(ctx)), fn.log(x, ctx)), ctx.prec
@@ -111,10 +128,46 @@ def _old_erfc_series_point(v, out_prec):
     xf = rd.to_float(v, rd.CEIL)
     ctx = PrecisionContext(out_prec + int(1.45 * xf * xf) + 48)
     x = RealInterval(v, v)
-    powers = itertools.chain([x], fn._power_terms(ctx, x, ctx.neg(ctx.sq(x)), itertools.count(1)))
+    powers = itertools.chain([x], _power_terms(ctx, x, ctx.neg(ctx.sq(x)), itertools.count(1)))
     terms = (ctx.div(p, ctx.interval(2 * k + 1)) for k, p in enumerate(powers))
     total = _old_sum(ctx, ctx.zero(), terms, min_terms=xf * xf)
     return ctx.sub(ctx.one(), ctx.mul(dirichlet._two_over_sqrt_pi(ctx), total)), ctx.prec
+
+
+def _old_atan_inv_int(q, ctx):
+    p = ctx.div(ctx.one(), ctx.interval(q))
+    w = ctx.neg(ctx.div(ctx.one(), ctx.interval(q * q)))
+    return _old_sum(ctx, ctx.zero(), _odd_power_terms(ctx, p, w))
+
+
+def _old_pi_ref(ctx):
+    a, b = _old_atan_inv_int(5, ctx), _old_atan_inv_int(239, ctx)
+    return ctx.sub(ctx.scale_2exp(a, 4), ctx.scale_2exp(b, 2))
+
+
+def _old_ln2_ref(ctx):
+    # the old path widened only the upper end by the geometric tail; widening
+    # both, as here, moves the lower end by less than one ulp
+    terms = _odd_power_terms(ctx, ctx.interval(Fraction(1, 3)), ctx.interval(Fraction(1, 9)))
+    return ctx.scale_2exp(_old_sum(ctx, ctx.zero(), terms, geometric=Fraction(9, 8)), 1)
+
+
+def _old_atan_point(v, ctx):
+    if v[0] < 0:
+        return ctx.neg(_old_atan_point(rd.neg(v), ctx))
+    x = RealInterval(v, v)
+    add_half_pi = rd.cmp(v, rd.ONE) > 0
+    if add_half_pi:
+        x = ctx.div(ctx.one(), x)
+    doublings = 0
+    while rd.cmp(x.hi, (1, -2)) > 0:
+        x = ctx.div(x, ctx.add(ctx.one(), ctx.sqrt(ctx.add(ctx.one(), ctx.sq(x)))))
+        doublings += 1
+    total = _old_sum(ctx, ctx.zero(), _odd_power_terms(ctx, x, ctx.neg(ctx.sq(x))))
+    total = ctx.scale_2exp(total, doublings)
+    if add_half_pi:
+        total = ctx.sub(ctx.scale_2exp(fn.pi(ctx), -1), total)
+    return total
 
 
 # --- containment and width -----------------------------------------------------
@@ -179,3 +232,38 @@ def test_both_sides_of_the_series_cut_overs_contain_the_value(f, mp_f, x, prec):
               rd.from_fraction(Fraction(x) + Fraction(1, 2**20), prec, rd.FLOOR)):
         box = f(RealInterval(v, v), ctx)
         assert box.lo_fraction <= _reference(mp_f, v, prec) <= box.hi_fraction
+
+
+_ATAN_ARGS = st.one_of(st.floats(1e-30, 0.25), st.floats(0.25, 1), st.floats(1, 1e6))
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@_props
+@given(x=_ATAN_ARGS, negative=st.booleans())
+def test_atan_point(prec, x, negative):
+    v = rd.from_fraction(Fraction(-x if negative else x), 64, rd.FLOOR)
+    inner = PrecisionContext(prec + fn._GUARD)
+    _check(fn._atan_point(v, inner), _old_atan_point(v, inner), mpmath.atan, v, prec, inner.prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+@_props
+@given(q=st.integers(2, 10**4))
+def test_atan_inv_int(prec, q):
+    ctx = PrecisionContext(prec)
+    _check(fn._atan_inv_int(q, ctx), _old_atan_inv_int(q, ctx), lambda x: mpmath.atan(1 / x),
+           rd.from_int(q), prec, prec)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(level=st.integers(64, 4096))
+def test_constant_references(level):
+    # with _ref_level the identity, pi and ln2 fill their references at exactly
+    # level + 16 bits
+    ctx = PrecisionContext(level + 16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fn, "_ref_cache", {})
+        mp.setattr(fn, "_ref_level", lambda p: p)
+        for name, old, value in (("pi", _old_pi_ref, mpmath.pi), ("ln2", _old_ln2_ref, mpmath.ln2)):
+            getattr(fn, name)(PrecisionContext(level))
+            _check(fn._ref_cache[name, level], old(ctx), lambda _: +value, rd.ONE, ctx.prec, ctx.prec)

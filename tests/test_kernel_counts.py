@@ -117,6 +117,21 @@ def test_log_point_sums_its_series_on_integers(counts):
     assert _ring_calls(counts, lambda: fn._log_point((5, -2), inner)) == (0, 0, 2)
 
 
+def test_constants_and_atan_sum_their_series_on_integers(counts, monkeypatch):
+    # a cold pi and ln2 fill, and atan at 0.2 <= 1/4 (no reflection, no
+    # halving step), make no ring mul or div
+    monkeypatch.setattr(fn, "_ref_cache", {})
+    inner = ctx.with_precision(ctx.prec + fn._GUARD)
+    v = ctx.interval(Fraction(1, 5)).lo
+    for run in (lambda: fn.pi(ctx), lambda: fn.ln2(ctx), lambda: fn._atan_point(v, inner)):
+        assert _ring_calls(counts, run)[:2] == (0, 0)
+
+
+def test_exp_point_keeps_its_interval_taylor_loop(counts):
+    # the counts of the interval loop before the other series moved to integers
+    assert _ring_calls(counts, lambda: fn._exp_point(rd.ONE, PrecisionContext(160)))[:2] == (31, 31)
+
+
 def test_zeta_auto_sums_only_the_answering_round(tables):
     # the parameters are chosen from the remainder bound before any sum, so
     # the one table built is the one that answers

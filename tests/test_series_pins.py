@@ -187,36 +187,51 @@ def test_moved_trig_pins_lie_inside_the_endpoint_boxes(group, key):
 
 
 # SERIES_PATH_PINS, at the end of the file, holds what these groups pinned
-# while sin/cos, log's atanh, E1 and erfc summed their series one interval
-# term at a time.  On the fixed-point kernel every raw box moved; each new box
-# must contain the value and meet its old box, and a moved public box must lie
-# inside its old one.
-_MP_FUNCS = {"sin": (mpmath.sin, mpmath.cos), "log": (mpmath.log,),
+# while sin/cos, log's atanh, E1, erfc, atan and the pi and ln2 references
+# summed their series one interval term at a time.  On the fixed-point kernel
+# every raw box moved; each new box must contain the value and meet its old
+# box, and a moved public box must lie inside its old one.
+_MP_FUNCS = {"sin": (mpmath.sin, mpmath.cos), "log": (mpmath.log,), "atan": (mpmath.atan,),
              "exp_integral": (mpmath.e1,), "erfc_enclosure": (mpmath.erfc,)}
 
 
-def _mp_exact(f, v: rd.MPF, prec: int) -> Fraction:
+def _mp_exact(value, prec: int) -> Fraction:
+    """value() from mpmath at 2 prec + 32 bits, as an exact fraction."""
     with mpmath.workprec(2 * prec + 32):
-        y = f(mpmath.ldexp(mpmath.mpf(v[0]), v[1]))
+        y = value()
     sign, man, e, _ = y._mpf_
     return Fraction(-man if sign else man) * Fraction(2) ** e
 
 
-@pytest.mark.parametrize("group", ["sin", "raw_sin", "raw_log", "raw_exp_integral",
-                                   "raw_erfc_enclosure"])
-def test_moved_series_pins_contain_the_value_and_meet_the_old_boxes(group):
+def _true_values(group: str) -> dict:
+    """Each key of a group and the values its box (raw_sin: its two boxes) encloses."""
+    if group == "raw_refs":
+        out = {}
+        for p in CONST_PRECS:
+            ref_prec = fn._ref_level(p) + 16
+            out[f"pi@{p}"] = [_mp_exact(lambda: +mpmath.pi, ref_prec)]
+            out[f"ln2@{p}"] = [_mp_exact(lambda: +mpmath.ln2, ref_prec)]
+        for q in (2, 3, 5, 239):
+            out[f"atan(1/{q})"] = [_mp_exact(lambda: mpmath.atan(mpmath.mpf(1) / q), 300)]
+        return out
     name = group.removeprefix("raw_")
-    points = {key: (v, prec) for key, v, prec in _points(name)}
+    return {key: [_mp_exact(lambda: f(mpmath.ldexp(mpmath.mpf(v[0]), v[1])), prec)
+                  for f in _MP_FUNCS[name]]
+            for key, v, prec in _points(name)}
+
+
+@pytest.mark.parametrize("group", ["sin", "atan", "raw_sin", "raw_log", "raw_atan",
+                                   "raw_exp_integral", "raw_erfc_enclosure", "raw_refs"])
+def test_moved_series_pins_contain_the_value_and_meet_the_old_boxes(group):
+    values = _true_values(group)
     old_pins = SERIES_PATH_PINS[group]
     assert old_pins.keys() <= PINS[group].keys()
     for key, old in old_pins.items():
         new = PINS[group][key]
-        v, prec = points[key]
         pairs = zip(new, old) if group == "raw_sin" else [(new, old)]
-        for f, ((lo, hi), (old_lo, old_hi)) in zip(_MP_FUNCS[name], pairs):
-            value = _mp_exact(f, v, prec)
-            assert rd.to_fraction(lo) <= value <= rd.to_fraction(hi), (key, f)
-            assert rd.cmp(lo, old_hi) <= 0 and rd.cmp(old_lo, hi) <= 0, (key, f)
+        for value, ((lo, hi), (old_lo, old_hi)) in zip(values[key], pairs):
+            assert rd.to_fraction(lo) <= value <= rd.to_fraction(hi), key
+            assert rd.cmp(lo, old_hi) <= 0 and rd.cmp(old_lo, hi) <= 0, key
             if not group.startswith("raw_"):
                 assert rd.cmp(old_lo, lo) <= 0 and rd.cmp(hi, old_hi) <= 0, key
 
@@ -360,7 +375,7 @@ PINS: dict = {
     },
     'atan': {
         '-3@128': ((-0x4ff05dadea157ff5df2e216077be58d5, -126), (-0x9fe0bb5bd42affebbe5c42c0ef7cb1a9, -127)),
-        '1e-30@128': ((0x289097fdd7853f0c684960de6a5340a3, -225), (0xa2425ff75e14fc31a1258379a94d028f, -227)),
+        '1e-30@128': ((0x289097fdd7853f0c684960de6a5340a3, -225), (0x51212ffbaf0a7e18d092c1bcd4a68147, -226)),
         '0.2@128': ((0xca220fc7b9305b2ecf053204ebb711c1, -130), (0xca220fc7b9305b2ecf053204ebb711c3, -130)),
         '0.25@128': ((0xfadbafc96406eb156dc79ef5f7a217e5, -130), (0x7d6dd7e4b203758ab6e3cf7afbd10bf3, -129)),
         '0.9@128': ((0xbb99c540301df2f06d5204b76e1908e9, -128), (0xbb99c540301df2f06d5204b76e1908eb, -128)),
@@ -431,26 +446,26 @@ PINS: dict = {
         'radius': (0xf726d7fff7a0f67742e361368e64afa7, -140),
     },
     'raw_refs': {
-        'pi@53': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e447, -526), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091792f, -524)),
-        'ln2@53': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f1f, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253ee5, -528)),
-        'pi@64': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e447, -526), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091792f, -524)),
-        'ln2@64': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f1f, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253ee5, -528)),
-        'pi@128': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e447, -526), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091792f, -524)),
-        'ln2@128': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f1f, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253ee5, -528)),
-        'pi@200': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e447, -526), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091792f, -524)),
-        'ln2@200': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f1f, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253ee5, -528)),
-        'pi@384': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e447, -526), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091792f, -524)),
-        'ln2@384': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f1f, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253ee5, -528)),
-        'pi@512': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7edee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf0598da48361c55d39a68a7, -1038), (0x6487ed5110b4611a62633145c06e0e68948127044533e63a0105df531d89cd9128a5043cc71a026ef7ca8cd9e69d218d98158536f92f8a1ba7f09ab6b6a8e122f242dabb312f3f637a262174d31bf6b585ffae5b7a035bf6f71c35fdad44cfd2d74f9208be258ff324943328f6722d9ee1003e5c50b1df82cc6d241b0e2ae9cd34c5, -1037)),
-        'ln2@512': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b112574628d65ed0898be1c3f5cf54de1d89b301d92b7d0763b2bfba5b96743d8ceb2a4657aefd35e9c18192432afd0c3979071d16d16cbe2879feae303a9, -1039), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca16224ae8c51acbda11317c387eb9ea9bc3b136603b256fa0ec7657f74b72ce87b19d6548caf5dfa6bd38303248655fa1872f20e3a2da2d97c50f3fd5c6089b, -1040)),
-        'pi@700': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7edee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf0598da48361c55d39a68a7, -1038), (0x6487ed5110b4611a62633145c06e0e68948127044533e63a0105df531d89cd9128a5043cc71a026ef7ca8cd9e69d218d98158536f92f8a1ba7f09ab6b6a8e122f242dabb312f3f637a262174d31bf6b585ffae5b7a035bf6f71c35fdad44cfd2d74f9208be258ff324943328f6722d9ee1003e5c50b1df82cc6d241b0e2ae9cd34c5, -1037)),
-        'ln2@700': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b112574628d65ed0898be1c3f5cf54de1d89b301d92b7d0763b2bfba5b96743d8ceb2a4657aefd35e9c18192432afd0c3979071d16d16cbe2879feae303a9, -1039), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca16224ae8c51acbda11317c387eb9ea9bc3b136603b256fa0ec7657f74b72ce87b19d6548caf5dfa6bd38303248655fa1872f20e3a2da2d97c50f3fd5c6089b, -1040)),
-        'pi@1024': ((0x6487ed5110b4611a62633145c06e0e68948127044533e63a0105df531d89cd9128a5043cc71a026ef7ca8cd9e69d218d98158536f92f8a1ba7f09ab6b6a8e122f242dabb312f3f637a262174d31bf6b585ffae5b7a035bf6f71c35fdad44cfd2d74f9208be258ff324943328f6722d9ee1003e5c50b1df82cc6d241b0e2ae9cd348b1fd47e9267afc1b2ae91ee51d6cb0e3179ab1042a95dcf6a9483b84b4b36b3861aa7255e4c0278ba3604650c10be19482f23171b671df1cf3b960c074301cd41, -1549), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d5d98979fb1bd1310ba698dfb5ac2ffd72dbd01adfb7b8e1afed6a267e96ba7c9045f12c7f9924a19947b3916cf70801f2e2858efc16636920d871574e69a458fea3f4933d7e0d95748f728eb658718bcd5882154aee7b54a41dc25a59b59c30d5392af26013c5d1b023286085f0ca417918b8db38ef8e79dcb0603a180e6f5, -1548)),
-        'ln2@1024': ((0x162e42fefa39ef35793c7673007e5ed5e81e6864ce5316c5b141a2eb71755f457cf70ec40dbd75930ab2aa5f695f43621da5d5c6b827042884eae765222d3704a7d2d942c4495d18a3597b42262f870fd73d53787626cc0764adf41d8ecafee96e59d0f633aca9195ebbf4d7a70606490cabf430e5e41c745b45b2f8a1e7fab8c0fe99423f6b7f720c21a61f11fcaa345dcad3adbf83df42afa5c47bc2801672c2e8c0eebb71321cb9287ce6568f39a6799989ccb2726a29898343c17a3ac12ba48f, -1549), (0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b112574628d65ed0898be1c3f5cf54de1d89b301d92b7d0763b2bfba5b96743d8ceb2a4657aefd35e9c18192432afd0c3979071d16d16cbe2879feae303fa6508fdadfdc83086987c47f2a8d1772b4eb6fe0f7d0abe9711ef0a0059cb0ba303baedc4c872e4a1f3995a3ce699e6662732c9c9a8a6260d0f05e8eb04ae9331, -1551)),
-        'atan(1/2)': ((0xed63382b0dda7b456fe445ecbc3a8d036e141587261cdf00e2cf16e6e9624709fa9c5917843, -301), (0x76b19c1586ed3da2b7f222f65e1d4681b70a0ac3930e6f8071678b7374b12384fd4e2c8bc6d, -300)),
-        'atan(1/3)': ((0xa4bc7d1934f7092419a87f2a457dac9ee3f08689eeb2b9e7214866658cc4ef3aa7f7b7db907, -301), (0x14978fa3269ee12483350fe548afb593dc7e10d13dd6573ce4290cccb1989de754fef6fb72d, -298)),
-        'atan(1/5)': ((0x194441f8f7260b65d9e0a6409d76e23840488c24e5d300e79988e421837a7a581cb0ed76c47, -299), (0x328883f1ee4c16cbb3c14c813aedc47080911849cba601cf3311c84306f4f4b03961daed89f, -300)),
-        'atan(1/239)': ((0x891a92cbe3cc7d051f67bcb56d7a786ca1098f52181d64651db132f0601bcf4a1eb19e4babb, -307), (0x891a92cbe3cc7d051f67bcb56d7a786ca1098f52181d64651db132f0601bcf4a1eb19e4bad, -303)),
+        'pi@53': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485, -526), (0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e487, -526)),
+        'ln2@53': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e97, -528)),
+        'pi@64': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485, -526), (0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e487, -526)),
+        'ln2@64': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e97, -528)),
+        'pi@128': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485, -526), (0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e487, -526)),
+        'ln2@128': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e97, -528)),
+        'pi@200': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485, -526), (0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e487, -526)),
+        'ln2@200': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e97, -528)),
+        'pi@384': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485, -526), (0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e487, -526)),
+        'ln2@384': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e97, -528)),
+        'pi@512': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7edee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf0598da48361c55d39a6915, -1038), (0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7edee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf0598da48361c55d39a6917, -1038)),
+        'ln2@512': ((0x2c5c85fdf473de6af278ece600fcbdabd03cd0c99ca62d8b628345d6e2eabe8af9ee1d881b7aeb26156554bed2be86c43b4bab8d704e085109d5ceca445a6e094fa5b2858892ba3146b2f6844c5f0e1fae7aa6f0ec4d980ec95be83b1d95fdd2dcb3a1ec67595232bd77e9af4e0c0c921957e861cbc838e8b68b65f143cff57181fd, -1038), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca16224ae8c51acbda11317c387eb9ea9bc3b136603b256fa0ec7657f74b72ce87b19d6548caf5dfa6bd38303248655fa1872f20e3a2da2d97c50f3fd5c607f5, -1040)),
+        'pi@700': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7edee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf0598da48361c55d39a6915, -1038), (0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7edee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf0598da48361c55d39a6917, -1038)),
+        'ln2@700': ((0x2c5c85fdf473de6af278ece600fcbdabd03cd0c99ca62d8b628345d6e2eabe8af9ee1d881b7aeb26156554bed2be86c43b4bab8d704e085109d5ceca445a6e094fa5b2858892ba3146b2f6844c5f0e1fae7aa6f0ec4d980ec95be83b1d95fdd2dcb3a1ec67595232bd77e9af4e0c0c921957e861cbc838e8b68b65f143cff57181fd, -1038), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca16224ae8c51acbda11317c387eb9ea9bc3b136603b256fa0ec7657f74b72ce87b19d6548caf5dfa6bd38303248655fa1872f20e3a2da2d97c50f3fd5c607f5, -1040)),
+        'pi@1024': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7edee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf0598da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb9ed529077096966d670c354e4abc9804f1746c08ca18217c32905e462e36ce3be39e772c180e86039b27, -1550), (0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7edee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf0598da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb9ed529077096966d670c354e4abc9804f1746c08ca18217c32905e462e36ce3be39e772c180e86039b29, -1550)),
+        'ln2@1024': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b112574628d65ed0898be1c3f5cf54de1d89b301d92b7d0763b2bfba5b96743d8ceb2a4657aefd35e9c18192432afd0c3979071d16d16cbe2879feae303fa6508fdadfdc83086987c47f2a8d1772b4eb6fe0f7d0abe9711ef0a0059cb0ba303baedc4c872e4a1f3995a3ce699e6662732c9c9a8a6260d0f05e8eb04ae92b3, -1551), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca16224ae8c51acbda11317c387eb9ea9bc3b136603b256fa0ec7657f74b72ce87b19d6548caf5dfa6bd38303248655fa1872f20e3a2da2d97c50f3fd5c607f4ca11fb5bfb90610d30f88fe551a2ee569d6dfc1efa157d2e23de1400b39617460775db8990e5c943e732b479cd33cccc4e659393514c4c1a1e0bd1d6095d2567, -1552)),
+        'atan(1/2)': ((0x76b19c1586ed3da2b7f222f65e1d4681b70a0ac3930e6f8071678b7374b12384fd4e2c8bc49, -300), (0xed63382b0dda7b456fe445ecbc3a8d036e141587261cdf00e2cf16e6e9624709fa9c5917893, -301)),
+        'atan(1/3)': ((0xa4bc7d1934f7092419a87f2a457dac9ee3f08689eeb2b9e7214866658cc4ef3aa7f7b7db933, -301), (0x292f1f464d3dc249066a1fca915f6b27b8fc21a27bacae79c852199963313bcea9fdedf6e4d, -299)),
+        'atan(1/5)': ((0x194441f8f7260b65d9e0a6409d76e23840488c24e5d300e79988e421837a7a581cb0ed76c4b, -299), (0xca220fc7b9305b2ecf053204ebb711c2024461272e98073ccc47210c1bd3d2c0e5876bb6259, -302)),
+        'atan(1/239)': ((0x2246a4b2f8f31f4147d9ef2d5b5e9e1b284263d486075919476c4cbc1806f3d287ac6792eb1, -305), (0x891a92cbe3cc7d051f67bcb56d7a786ca1098f52181d64651db132f0601bcf4a1eb19e4bac5, -307)),
     },
     'raw_exp': {
         '-3.7@128': ((0x65447f1a1c4113920cddc5f0441dc42c45f4708f, -164), (0xca88fe343882272419bb8be0883b88588be8e291, -165)),
@@ -509,24 +524,24 @@ PINS: dict = {
         '0.2@512': (((0xcb6ff919ee95dfbaa74a7dee2980ed39448ef59951690677d86c98990e983aff9ae7b01336b35a0be4cf6923f036248b384f7a17c039b5bc5d532b7d261ee7d6f2301b5, -542), (0xcb6ff919ee95dfbaa74a7dee2980ed39448ef59951690677d86c98990e983aff9ae7b01336b35a0be4cf6923f036248b384f7a17c039b5bc5d532b7d261ee7d6f2301b51, -546)), ((0xfae5a4abbb13d059fef7b50fd18acca792e5a028a168062dc5543921a60068e89b26c61753a23e335aebefea68e696fccb1056eda307c43ee4c0749514628c035f166d4f, -544), (0xfae5a4abbb13d059fef7b50fd18acca792e5a028a168062dc5543921a60068e89b26c61753a23e335aebefea68e696fccb1056eda307c43ee4c0749514628c035f166d5, -540))),
     },
     'raw_atan': {
-        '-3@128': ((-0x9fe0bb5bd42affebbe5c42c0ef7cb1a970062c6b, -159), (-0x4ff05dadea157ff5df2e216077be58d4b803163, -154)),
-        '1e-30@128': ((0xa2425ff75e14fc31a1258379a94d028cffffffff, -259), (0xa2425ff75e14fc31a1258379a94d028d00000001, -259)),
-        '0.2@128': ((0xca220fc7b9305b2ecf053204ebb711c13d58125, -158), (0x328883f1ee4c16cbb3c14c813aedc4704f56049d, -160)),
-        '0.25@128': ((0x7d6dd7e4b203758ab6e3cf7afbd10bf2d53fd477, -161), (0xfadbafc96406eb156dc79ef5f7a217e5aa7fa917, -162)),
-        '0.9@128': ((0xbb99c540301df2f06d5204b76e1908e9d4161c0b, -160), (0xbb99c540301df2f06d5204b76e1908e9d4161c31, -160)),
-        '1@128': ((0x6487ed5110b4611a62633145c06e0e68948126fb, -159), (0x6487ed5110b4611a62633145c06e0e689481271, -155)),
-        '7@128': ((0x5b7315eed597f2d6379bb86d7196725c033cb523, -158), (0x2db98af76acbf96b1bcddc36b8cb392e019e5a93, -157)),
+        '-3@128': ((-0x13fc176b7a855ffd77cb88581def96352e00c58d, -156), (-0x9fe0bb5bd42affebbe5c42c0ef7cb1a970062c65, -159)),
+        '1e-30@128': ((0xa2425ff75e14fc31a1258379a94d028cffffffff, -259), (0xa2425ff75e14fc31a1258379a94d028d, -227)),
+        '0.2@128': ((0x651107e3dc982d976782990275db88e09eac0931, -161), (0xca220fc7b9305b2ecf053204ebb711c13d581263, -162)),
+        '0.25@128': ((0xfadbafc96406eb156dc79ef5f7a217e5aa7fa903, -162), (0x3eb6ebf25901bac55b71e7bd7de885f96a9fea41, -160)),
+        '0.9@128': ((0x5dcce2a0180ef97836a9025bb70c8474ea0b0e0d, -159), (0xbb99c540301df2f06d5204b76e1908e9d4161c1f, -160)),
+        '1@128': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e05, -160), (0xc90fdaa22168c234c4c6628b80dc1cd129024e0d, -160)),
+        '7@128': ((0x16dcc57bb565fcb58de6ee1b5c659c9700cf2d49, -156), (0x5b7315eed597f2d6379bb86d7196725c033cb525, -158)),
         '1e6@128': ((0x6487e91f52cc33a0889d558ff2e67054cbb61cab, -158), (0x1921fa47d4b30ce822275563fcb99c1532ed872b, -156)),
-        '-1@128': ((-0x6487ed5110b4611a62633145c06e0e689481271, -155), (-0x6487ed5110b4611a62633145c06e0e68948126fb, -159)),
-        '-3@512': ((-0x9fe0bb5bd42affebbe5c42c0ef7cb1a970062c660ebb1dfa39b9a50cd7e25f53a74c1a82a964d6ca19bc9198184639ee4bcdff3ab87e8a209da6b244583184925087ac9f, -543), (-0x4ff05dadea157ff5df2e216077be58d4b8031633075d8efd1cdcd2866bf12fa9d3a60d4154b26b650cde48cc0c231cf725e6ff9d5c3f45104ed359222c18c2492843d641, -542)),
-        '1e-30@512': ((0x289097fdd7853f0c684960de6a5340a34637cb3347f80280ed78a6a5150927da83a09501cc908d676daf9d1495c2979e01a06d4f130470f02c9573911b90c26d2df29569, -641), (0x14484bfeebc29f863424b06f3529a051a31be599a3fc014076bc53528a8493ed41d04a80e64846b3b6d7ce8a4ae14bcf00d036a789823878164ab9c88dc8613696f94ab5, -640)),
-        '0.2@512': ((0xca220fc7b9305b2ecf053204ebb711c2024461272e98073ccc47210c1bd3d2c0e5876bb6258c8f6c0ec71234b685ddd8742e74d4d5b6d2b6fc9dad03493fb5e4eb4a26e9, -546), (0xca220fc7b9305b2ecf053204ebb711c2024461272e98073ccc47210c1bd3d2c0e5876bb6258c8f6c0ec71234b685ddd8742e74d4d5b6d2b6fc9dad03493fb5e4eb4a275f, -546)),
-        '0.25@512': ((0xfadbafc96406eb156dc79ef5f7a217e5aa7fa90388b3836b7a3a767c9449a76592b9251668e5765305be8c5ba5831a3e3c2bc227071e4f9a0f41c3ab039983799e8ab6ff, -546), (0x1f5b75f92c80dd62adb8f3debef442fcb54ff5207116706d6f474ecf928934ecb25724a2cd1caeca60b7d18b74b06347c7857844e0e3c9f341e838756073306f33d156f1, -543)),
-        '0.9@512': ((0x5dcce2a0180ef97836a9025bb70c847506549a13dc2d9304f1da54bc30a65f9e1c5ad706d9784333c6140b76c13f989af745f71718ade9e0be4b09066f8ae0001dc4ec17, -543), (0xbb99c540301df2f06d5204b76e1908ea0ca93427b85b2609e3b4a978614cbf3c38b5ae0db2f086678c2816ed827f3135ee8bee2e315bd3c17c96120cdf15c0003b89d8a5, -544)),
-        '1@512': ((0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d4f, -542), (0x1921fb54442d18469898cc51701b839a252049c1114cf98e804177d4c76273644a29410f31c6809bbdf2a33679a748636605614dbe4be286e9fc26adadaa3848bc90b6b7, -541)),
-        '7@512': ((0x16dcc57bb565fcb58de6ee1b5c659c9700cf2d492791a865b2354250bc7d88a5cf941c0552170bd2d46f73a22a10a67cec19f373ad9e13c9218cb4211c1d2b914347dd9, -536), (0xb6e62bddab2fe5ac6f3770dae32ce4b806796a493c8d432d91aa1285e3ec452e7ca0e02a90b85e96a37b9d11508533e760cf9b9d6cf09e490c65a108e0e95c8a1a3eec8f, -543)),
+        '-1@128': ((-0xc90fdaa22168c234c4c6628b80dc1cd129024e0d, -160), (-0xc90fdaa22168c234c4c6628b80dc1cd129024e05, -160)),
+        '-3@512': ((-0x4ff05dadea157ff5df2e216077be58d4b8031633075d8efd1cdcd2866bf12fa9d3a60d4154b26b650cde48cc0c231cf725e6ff9d5c3f45104ed359222c18c2492843d649, -542), (-0x9fe0bb5bd42affebbe5c42c0ef7cb1a970062c660ebb1dfa39b9a50cd7e25f53a74c1a82a964d6ca19bc9198184639ee4bcdff3ab87e8a209da6b244583184925087ac8f, -543)),
+        '1e-30@512': ((0x51212ffbaf0a7e18d092c1bcd4a681468c6f96668ff00501daf14d4a2a124fb507412a0399211acedb5f3a292b852f3c0340da9e2608e1e0592ae722372184da5be52ad3, -642), (0xa2425ff75e14fc31a1258379a94d028d18df2ccd1fe00a03b5e29a9454249f6a0e8254073242359db6be7452570a5e780681b53c4c11c3c0b255ce446e4309b4b7ca55a7, -643)),
+        '0.2@512': ((0xca220fc7b9305b2ecf053204ebb711c2024461272e98073ccc47210c1bd3d2c0e5876bb6258c8f6c0ec71234b685ddd8742e74d4d5b6d2b6fc9dad03493fb5e4eb4a2727, -546), (0x194441f8f7260b65d9e0a6409d76e23840488c24e5d300e79988e421837a7a581cb0ed76c4b191ed81d8e24696d0bbbb0e85ce9a9ab6da56df93b5a06927f6bc9d6944e5, -543)),
+        '0.25@512': ((0xfadbafc96406eb156dc79ef5f7a217e5aa7fa90388b3836b7a3a767c9449a76592b9251668e5765305be8c5ba5831a3e3c2bc227071e4f9a0f41c3ab039983799e8ab743, -546), (0x3eb6ebf25901bac55b71e7bd7de885f96a9fea40e22ce0dade8e9d9f251269d964ae49459a395d94c16fa316e960c68f8f0af089c1c793e683d070eac0e660de67a2add1, -544)),
+        '0.9@512': ((0xbb99c540301df2f06d5204b76e1908ea0ca93427b85b2609e3b4a978614cbf3c38b5ae0db2f086678c2816ed827f3135ee8bee2e315bd3c17c96120cdf15c0003b89d865, -544), (0xbb99c540301df2f06d5204b76e1908ea0ca93427b85b2609e3b4a978614cbf3c38b5ae0db2f086678c2816ed827f3135ee8bee2e315bd3c17c96120cdf15c0003b89d86d, -544)),
+        '1@512': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b573, -544), (0x6487ed5110b4611a62633145c06e0e68948127044533e63a0105df531d89cd9128a5043cc71a026ef7ca8cd9e69d218d98158536f92f8a1ba7f09ab6b6a8e122f242dabd, -543)),
+        '7@512': ((0xb6e62bddab2fe5ac6f3770dae32ce4b806796a493c8d432d91aa1285e3ec452e7ca0e02a90b85e96a37b9d11508533e760cf9b9d6cf09e490c65a108e0e95c8a1a3eec87, -543), (0xb6e62bddab2fe5ac6f3770dae32ce4b806796a493c8d432d91aa1285e3ec452e7ca0e02a90b85e96a37b9d11508533e760cf9b9d6cf09e490c65a108e0e95c8a1a3eec89, -543)),
         '1e6@512': ((0x1921fa47d4b30ce822275563fcb99c1532ed872ad9b55aff695f62d1a66bb81d76954308ca59f938862cf5135259aa84b2b8b87433e84a451a6adee01b5fdcabeb21fd95, -540), (0x6487e91f52cc33a0889d558ff2e67054cbb61cab66d56bfda57d8b4699aee075da550c232967e4e218b3d44d4966aa12cae2e1d0cfa1291469ab7b806d7f72afac87f655, -542)),
-        '-1@512': ((-0x1921fb54442d18469898cc51701b839a252049c1114cf98e804177d4c76273644a29410f31c6809bbdf2a33679a748636605614dbe4be286e9fc26adadaa3848bc90b6b7, -541), (-0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d4f, -542)),
+        '-1@512': ((-0x6487ed5110b4611a62633145c06e0e68948127044533e63a0105df531d89cd9128a5043cc71a026ef7ca8cd9e69d218d98158536f92f8a1ba7f09ab6b6a8e122f242dabd, -543), (-0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b573, -544)),
     },
     'raw_exp_integral': {
         '1e-10@128': ((0xb396ce15fcd4ecdab8f7de8d2412fe8b2b8c44b46d4e4a79, -187), (0xb396ce15fcd4ecdab8f7de8d2412fe8b2b8c44b46d6c38f5, -187)),
@@ -649,6 +664,49 @@ SERIES_PATH_PINS: dict = {
         '6@512': ((0xc67c0aabe905b0d3fff8663995fcd978353ef42c1e4428f60c546c4ec05469a56e087a08857c14e56976463c2bf7bdf46be5ad7a855090052df08f4384e7271a60b861fd9b96611, -627), (0xc67c0aabe905b0d3fff8663995fcd978353ef42c1e4428f60c546c4ec05469a56e087a08857c14e56976463c2bf7bdf46be5ad7a855090052df08f4384e7271a645e42b46ca361b, -627)),
         '7@512': ((0xca4c507d2cc0ceda44773ac5ecdc675cb7a67079fabf93c55a584d684bb206a7e298b9a6e3a60d9d591353ddf6aed127a931cc49c853310d45c9b7ed90d9fae7f86fc6bb, -618), (0x32c20049c18acb310e78dbf2be3cf49ebec19f01e92e1ef719d4601966ce92584d07e9cebe0942eaec4b7881446c40c4445ffd6001956c444df048310b8848e4f8e0b6f3, -616)),
         '0.5@512': ((0x1eb02147ce245ba85fd8397397615acf7dea484ec46a31b0f20b2a1ece499479fe1e82d6af1fd8484dcd8cc86e243eb6044c8ee519cfa1ef149d4ff5c24eba174a4fcb9088d5b53, -570), (0x3d60428f9c48b750bfb072e72ec2b59efbd4909d88d46361e416543d9c9328f3fc3d05ad5e3fb0909b9b1990dc487d6c08991dca339f43de293a9feb849d742e949f972111ab6a79, -575)),
+    },
+    'atan': {
+        '1e-30@128': ((0x289097fdd7853f0c684960de6a5340a3, -225), (0xa2425ff75e14fc31a1258379a94d028f, -227)),
+    },
+    'raw_atan': {
+        '-3@128': ((-0x9fe0bb5bd42affebbe5c42c0ef7cb1a970062c6b, -159), (-0x4ff05dadea157ff5df2e216077be58d4b803163, -154)),
+        '1e-30@128': ((0xa2425ff75e14fc31a1258379a94d028cffffffff, -259), (0xa2425ff75e14fc31a1258379a94d028d00000001, -259)),
+        '0.2@128': ((0xca220fc7b9305b2ecf053204ebb711c13d58125, -158), (0x328883f1ee4c16cbb3c14c813aedc4704f56049d, -160)),
+        '0.25@128': ((0x7d6dd7e4b203758ab6e3cf7afbd10bf2d53fd477, -161), (0xfadbafc96406eb156dc79ef5f7a217e5aa7fa917, -162)),
+        '0.9@128': ((0xbb99c540301df2f06d5204b76e1908e9d4161c0b, -160), (0xbb99c540301df2f06d5204b76e1908e9d4161c31, -160)),
+        '1@128': ((0x6487ed5110b4611a62633145c06e0e68948126fb, -159), (0x6487ed5110b4611a62633145c06e0e689481271, -155)),
+        '7@128': ((0x5b7315eed597f2d6379bb86d7196725c033cb523, -158), (0x2db98af76acbf96b1bcddc36b8cb392e019e5a93, -157)),
+        '-1@128': ((-0x6487ed5110b4611a62633145c06e0e689481271, -155), (-0x6487ed5110b4611a62633145c06e0e68948126fb, -159)),
+        '-3@512': ((-0x9fe0bb5bd42affebbe5c42c0ef7cb1a970062c660ebb1dfa39b9a50cd7e25f53a74c1a82a964d6ca19bc9198184639ee4bcdff3ab87e8a209da6b244583184925087ac9f, -543), (-0x4ff05dadea157ff5df2e216077be58d4b8031633075d8efd1cdcd2866bf12fa9d3a60d4154b26b650cde48cc0c231cf725e6ff9d5c3f45104ed359222c18c2492843d641, -542)),
+        '1e-30@512': ((0x289097fdd7853f0c684960de6a5340a34637cb3347f80280ed78a6a5150927da83a09501cc908d676daf9d1495c2979e01a06d4f130470f02c9573911b90c26d2df29569, -641), (0x14484bfeebc29f863424b06f3529a051a31be599a3fc014076bc53528a8493ed41d04a80e64846b3b6d7ce8a4ae14bcf00d036a789823878164ab9c88dc8613696f94ab5, -640)),
+        '0.2@512': ((0xca220fc7b9305b2ecf053204ebb711c2024461272e98073ccc47210c1bd3d2c0e5876bb6258c8f6c0ec71234b685ddd8742e74d4d5b6d2b6fc9dad03493fb5e4eb4a26e9, -546), (0xca220fc7b9305b2ecf053204ebb711c2024461272e98073ccc47210c1bd3d2c0e5876bb6258c8f6c0ec71234b685ddd8742e74d4d5b6d2b6fc9dad03493fb5e4eb4a275f, -546)),
+        '0.25@512': ((0xfadbafc96406eb156dc79ef5f7a217e5aa7fa90388b3836b7a3a767c9449a76592b9251668e5765305be8c5ba5831a3e3c2bc227071e4f9a0f41c3ab039983799e8ab6ff, -546), (0x1f5b75f92c80dd62adb8f3debef442fcb54ff5207116706d6f474ecf928934ecb25724a2cd1caeca60b7d18b74b06347c7857844e0e3c9f341e838756073306f33d156f1, -543)),
+        '0.9@512': ((0x5dcce2a0180ef97836a9025bb70c847506549a13dc2d9304f1da54bc30a65f9e1c5ad706d9784333c6140b76c13f989af745f71718ade9e0be4b09066f8ae0001dc4ec17, -543), (0xbb99c540301df2f06d5204b76e1908ea0ca93427b85b2609e3b4a978614cbf3c38b5ae0db2f086678c2816ed827f3135ee8bee2e315bd3c17c96120cdf15c0003b89d8a5, -544)),
+        '1@512': ((0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d4f, -542), (0x1921fb54442d18469898cc51701b839a252049c1114cf98e804177d4c76273644a29410f31c6809bbdf2a33679a748636605614dbe4be286e9fc26adadaa3848bc90b6b7, -541)),
+        '7@512': ((0x16dcc57bb565fcb58de6ee1b5c659c9700cf2d492791a865b2354250bc7d88a5cf941c0552170bd2d46f73a22a10a67cec19f373ad9e13c9218cb4211c1d2b914347dd9, -536), (0xb6e62bddab2fe5ac6f3770dae32ce4b806796a493c8d432d91aa1285e3ec452e7ca0e02a90b85e96a37b9d11508533e760cf9b9d6cf09e490c65a108e0e95c8a1a3eec8f, -543)),
+        '-1@512': ((-0x1921fb54442d18469898cc51701b839a252049c1114cf98e804177d4c76273644a29410f31c6809bbdf2a33679a748636605614dbe4be286e9fc26adadaa3848bc90b6b7, -541), (-0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d4f, -542)),
+    },
+    'raw_refs': {
+        'pi@53': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e447, -526), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091792f, -524)),
+        'ln2@53': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f1f, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253ee5, -528)),
+        'pi@64': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e447, -526), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091792f, -524)),
+        'ln2@64': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f1f, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253ee5, -528)),
+        'pi@128': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e447, -526), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091792f, -524)),
+        'ln2@128': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f1f, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253ee5, -528)),
+        'pi@200': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e447, -526), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091792f, -524)),
+        'ln2@200': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f1f, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253ee5, -528)),
+        'pi@384': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e447, -526), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091792f, -524)),
+        'ln2@384': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f1f, -527), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253ee5, -528)),
+        'pi@512': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7edee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf0598da48361c55d39a68a7, -1038), (0x6487ed5110b4611a62633145c06e0e68948127044533e63a0105df531d89cd9128a5043cc71a026ef7ca8cd9e69d218d98158536f92f8a1ba7f09ab6b6a8e122f242dabb312f3f637a262174d31bf6b585ffae5b7a035bf6f71c35fdad44cfd2d74f9208be258ff324943328f6722d9ee1003e5c50b1df82cc6d241b0e2ae9cd34c5, -1037)),
+        'ln2@512': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b112574628d65ed0898be1c3f5cf54de1d89b301d92b7d0763b2bfba5b96743d8ceb2a4657aefd35e9c18192432afd0c3979071d16d16cbe2879feae303a9, -1039), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca16224ae8c51acbda11317c387eb9ea9bc3b136603b256fa0ec7657f74b72ce87b19d6548caf5dfa6bd38303248655fa1872f20e3a2da2d97c50f3fd5c6089b, -1040)),
+        'pi@700': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7edee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf0598da48361c55d39a68a7, -1038), (0x6487ed5110b4611a62633145c06e0e68948127044533e63a0105df531d89cd9128a5043cc71a026ef7ca8cd9e69d218d98158536f92f8a1ba7f09ab6b6a8e122f242dabb312f3f637a262174d31bf6b585ffae5b7a035bf6f71c35fdad44cfd2d74f9208be258ff324943328f6722d9ee1003e5c50b1df82cc6d241b0e2ae9cd34c5, -1037)),
+        'ln2@700': ((0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b112574628d65ed0898be1c3f5cf54de1d89b301d92b7d0763b2bfba5b96743d8ceb2a4657aefd35e9c18192432afd0c3979071d16d16cbe2879feae303a9, -1039), (0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62d8a0d175b8baafa2be7b876206debac98559552fb4afa1b10ed2eae35c138214427573b291169b8253e96ca16224ae8c51acbda11317c387eb9ea9bc3b136603b256fa0ec7657f74b72ce87b19d6548caf5dfa6bd38303248655fa1872f20e3a2da2d97c50f3fd5c6089b, -1040)),
+        'pi@1024': ((0x6487ed5110b4611a62633145c06e0e68948127044533e63a0105df531d89cd9128a5043cc71a026ef7ca8cd9e69d218d98158536f92f8a1ba7f09ab6b6a8e122f242dabb312f3f637a262174d31bf6b585ffae5b7a035bf6f71c35fdad44cfd2d74f9208be258ff324943328f6722d9ee1003e5c50b1df82cc6d241b0e2ae9cd348b1fd47e9267afc1b2ae91ee51d6cb0e3179ab1042a95dcf6a9483b84b4b36b3861aa7255e4c0278ba3604650c10be19482f23171b671df1cf3b960c074301cd41, -1549), (0x3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b54709179216d5d98979fb1bd1310ba698dfb5ac2ffd72dbd01adfb7b8e1afed6a267e96ba7c9045f12c7f9924a19947b3916cf70801f2e2858efc16636920d871574e69a458fea3f4933d7e0d95748f728eb658718bcd5882154aee7b54a41dc25a59b59c30d5392af26013c5d1b023286085f0ca417918b8db38ef8e79dcb0603a180e6f5, -1548)),
+        'ln2@1024': ((0x162e42fefa39ef35793c7673007e5ed5e81e6864ce5316c5b141a2eb71755f457cf70ec40dbd75930ab2aa5f695f43621da5d5c6b827042884eae765222d3704a7d2d942c4495d18a3597b42262f870fd73d53787626cc0764adf41d8ecafee96e59d0f633aca9195ebbf4d7a70606490cabf430e5e41c745b45b2f8a1e7fab8c0fe99423f6b7f720c21a61f11fcaa345dcad3adbf83df42afa5c47bc2801672c2e8c0eebb71321cb9287ce6568f39a6799989ccb2726a29898343c17a3ac12ba48f, -1549), (0x58b90bfbe8e7bcd5e4f1d9cc01f97b57a079a193394c5b16c5068badc5d57d15f3dc3b1036f5d64c2acaa97da57d0d887697571ae09c10a213ab9d9488b4dc129f4b650b112574628d65ed0898be1c3f5cf54de1d89b301d92b7d0763b2bfba5b96743d8ceb2a4657aefd35e9c18192432afd0c3979071d16d16cbe2879feae303fa6508fdadfdc83086987c47f2a8d1772b4eb6fe0f7d0abe9711ef0a0059cb0ba303baedc4c872e4a1f3995a3ce699e6662732c9c9a8a6260d0f05e8eb04ae9331, -1551)),
+        'atan(1/2)': ((0xed63382b0dda7b456fe445ecbc3a8d036e141587261cdf00e2cf16e6e9624709fa9c5917843, -301), (0x76b19c1586ed3da2b7f222f65e1d4681b70a0ac3930e6f8071678b7374b12384fd4e2c8bc6d, -300)),
+        'atan(1/3)': ((0xa4bc7d1934f7092419a87f2a457dac9ee3f08689eeb2b9e7214866658cc4ef3aa7f7b7db907, -301), (0x14978fa3269ee12483350fe548afb593dc7e10d13dd6573ce4290cccb1989de754fef6fb72d, -298)),
+        'atan(1/5)': ((0x194441f8f7260b65d9e0a6409d76e23840488c24e5d300e79988e421837a7a581cb0ed76c47, -299), (0x328883f1ee4c16cbb3c14c813aedc47080911849cba601cf3311c84306f4f4b03961daed89f, -300)),
+        'atan(1/239)': ((0x891a92cbe3cc7d051f67bcb56d7a786ca1098f52181d64651db132f0601bcf4a1eb19e4babb, -307), (0x891a92cbe3cc7d051f67bcb56d7a786ca1098f52181d64651db132f0601bcf4a1eb19e4bad, -303)),
     },
 }
 # fmt: on
