@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import rounding as rd
 from .characters import make_elementary
 from .dedekind import DedekindParams, RealQuadraticField, dedekind_enclosure, hilbert_volume, siegel_zeta_minus1
-from .dirichlet import default_l1_terms, l_one_quadratic, l_truncated
+from .dirichlet import l_one_quadratic, l_truncated
 from .elliptic import ReductionKind, derive_quantities, hasse_weil_partial, local_zeta, trace
 from .errors import (
     DivisionByZeroInterval,
@@ -93,6 +93,11 @@ def _parse_exact(text: str) -> Fraction:
     return Fraction(value)
 
 
+# the largest --precision accepted: it keeps the digits printed by _digits_for
+# and _digits_within under Python's 4300-digit int-to-str limit
+_PRECISION_CAP = 10_000
+
+
 def _digits_for(prec: int) -> int:
     return max(17, int(prec * 0.30103) + 2)
 
@@ -151,7 +156,8 @@ def _build_parser() -> _Parser:
     p_lfun = sub.add_parser("lfun", help="L(1, chi_Delta) for a fundamental discriminant")
     p_lfun.add_argument("--delta", type=int, required=True)
     p_lfun.add_argument("--terms", type=int, default=None,
-                        help="series length m (default: where terms fall below the working ulp)")
+                        help="series length m, at most 3000 summed"
+                             " (default: where terms fall below the working ulp)")
 
     p_ldir = sub.add_parser("ldir", help="truncated L(s, chi) for prime-modulus chi")
     p_ldir.add_argument("--char", required=True, metavar="q,m")
@@ -317,10 +323,12 @@ def _dispatch(args, ctx: PrecisionContext) -> OutputRecord:
         return _run_zeta_special(args, ctx, digits, t0)
     if args.command == "lfun":
         disc = QuadraticDiscriminant.from_discriminant(args.delta)
-        terms = default_l1_terms(args.delta, ctx.prec) if args.terms is None else args.terms
+        # with no --terms, l_one_quadratic clamps m to where terms fall below the ulp
+        terms = sys.maxsize if args.terms is None else args.terms
         enc = l_one_quadratic(disc.D, terms, ctx)
         return _enclosure_record(
-            "lfun", {"delta": args.delta, "terms": terms, "precision": enc.prec}, enc, digits, t0
+            "lfun", {"delta": args.delta, "terms": enc.params.m, "precision": enc.prec}, enc,
+            digits, t0,
         )
     if args.command == "ldir":
         try:
@@ -360,6 +368,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
     try:
+        if args.precision > _PRECISION_CAP:
+            raise ValueError(f"--precision {args.precision} exceeds the cap of {_PRECISION_CAP} bits")
         ctx = PrecisionContext(args.precision)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

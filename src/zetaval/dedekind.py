@@ -111,13 +111,10 @@ def dedekind_enclosure(
         z = zeta_em(s_box, params.em, ctx)
         chi = make_kronecker(K.D)
         l_val = l_truncated(chi, s_box, params.l_terms, ctx)
-        value = ctx.cmul(z.value, l_val.value)
-        raw = ctx.cmul(z.raw_value, l_val.raw_value)
         return Enclosure(
-            value=value,
+            value=ctx.cmul(z.value, l_val.value),
             params=params,
             remainder_radius=rd.ZERO,  # both factor widenings already applied
-            raw_value=raw,
             prec=ctx.prec,
         )
     if mode != "direct":
@@ -148,6 +145,5 @@ def dedekind_enclosure(
         value=ctx.cwiden(total, radius),
         params=params,
         remainder_radius=radius,
-        raw_value=total,
         prec=ctx.prec,
     )

@@ -46,10 +46,9 @@ _ERFC_SERIES_MAX: rd.MPF = rd.from_int(6)
 
 @dataclass(frozen=True)
 class L1Params:
-    """Series length m and the enclosure of A = pi/Delta actually used."""
+    """Series length m actually summed."""
 
     m: int
-    A: RealInterval
 
 
 def _e1_series_point(v: rd.MPF, out_prec: int) -> RealInterval:
@@ -143,9 +142,9 @@ def erfc_enclosure(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     return fn._monotone_hull(x, ctx, lambda v: _erfc_point(v, ctx.prec + 16), decreasing=True)
 
 
-# the largest m default_l1_terms gives: m grows as sqrt(Delta), so this caps
-# the default near Delta = 2.1e5 at 128 bits (1.3e5 at 256), where the 3000
-# terms take about 7 s on a 2-core VM
+# the largest m l_one_quadratic sums: its clamp _l1_terms grows as sqrt(Delta)
+# and passes this near Delta = 2.1e5 at 128 bits (1.3e5 at 256), where the
+# 3000 terms take about 7 s on a 2-core VM
 _L1_TERMS_CAP = 3000
 
 
@@ -155,29 +154,23 @@ def _l1_terms(delta: int, prec: int) -> int:
     return math.ceil(math.sqrt((prec + 64) * math.log(2) * delta / math.pi))
 
 
-def default_l1_terms(delta: int, prec: int) -> int:
-    """The m at which ``l_one_quadratic`` stops adding terms for discriminant
-    delta; DomainError if that m passes _L1_TERMS_CAP."""
-    m = _l1_terms(delta, prec)
-    if m > _L1_TERMS_CAP:
-        raise DomainError(
-            f"Delta={delta} needs m = {m} terms, past the cap of {_L1_TERMS_CAP};"
-            " give the term count"
-        )
-    return m
-
-
 def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
     """Enclosure of L(1, chi_Delta) for the real quadratic field Q(sqrt(D)).
 
     At most ``_l1_terms(Delta, prec)`` of the m terms are summed: further
-    terms cannot narrow the box.  ``params.m`` is the m used.
+    terms cannot narrow the box.  ``params.m`` is the m used; DomainError if
+    it passes _L1_TERMS_CAP.
     """
     if m < 1:
         raise DomainError("need at least one series term")
     chi = make_kronecker(D)
     delta = chi.modulus
     m = min(m, _l1_terms(delta, ctx.prec))
+    if m > _L1_TERMS_CAP:
+        raise DomainError(
+            f"Delta={delta} would sum m = {m} terms, past the cap of {_L1_TERMS_CAP};"
+            f" give at most {_L1_TERMS_CAP} terms for a wider box"
+        )
     A = ctx.div(fn.pi(ctx), ctx.interval(delta))
     sqrt_delta = ctx.sqrt(ctx.interval(delta))
     sqrt_a = ctx.sqrt(A)
@@ -209,13 +202,10 @@ def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
     )
     radius = bound.hi
 
-    value = ctx.widen(raw, radius)
-    zero = ctx.zero()
     return Enclosure(
-        value=ComplexBox(value, zero),
-        params=L1Params(m=m, A=A),
+        value=ComplexBox(ctx.widen(raw, radius), ctx.zero()),
+        params=L1Params(m=m),
         remainder_radius=radius,
-        raw_value=ComplexBox(raw, zero),
         prec=ctx.prec,
     )
 
@@ -272,6 +262,5 @@ def l_truncated(
         value=ctx.cwiden(total, radius),
         params={"N": N, "modulus": chi.modulus},
         remainder_radius=radius,
-        raw_value=total,
         prec=ctx.prec,
     )

@@ -179,7 +179,6 @@ def local_zeta(
         value=value,
         params={"p": p, "t_p": info.t_p},
         remainder_radius=rd.ZERO,
-        raw_value=value,
         prec=ctx.prec,
     )
 
@@ -229,6 +228,5 @@ def hasse_weil_partial(
         value=ComplexBox(ctx.mul(acc, tail), ctx.zero()),
         params={"primes_to": primes_to, "log_tail_bound": rd.to_float(b_up, rd.CEIL)},
         remainder_radius=b_up,
-        raw_value=ComplexBox(acc, ctx.zero()),
         prec=ctx.prec,
     )

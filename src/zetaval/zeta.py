@@ -64,15 +64,14 @@ class Enclosure:
     """A certified box, the parameters and precision that produced it, and its
     error budget.
 
-    ``value`` already includes the outward remainder widening; ``raw_value``
-    is the bare truncation (used by the remainder-soundness tests).  ``prec``
-    is the working precision of the sum, which ``zeta_auto`` chooses itself.
+    ``value`` already includes the outward remainder widening by
+    ``remainder_radius``.  ``prec`` is the working precision of the sum, which
+    ``zeta_auto`` chooses itself.
     """
 
     value: ComplexBox
     params: object
     remainder_radius: rd.MPF
-    raw_value: ComplexBox
     prec: int
     meets_target: bool | None = None
 
@@ -138,7 +137,9 @@ def _em_bound(factor: rd.MPF, s: ComplexBox, N: int, k: int) -> rd.MPF:
 def _em_enclosure(
     s: ComplexBox, params: EMParams, radius: rd.MPF, ctx: PrecisionContext
 ) -> Enclosure:
-    """S(N-1, s) + B(N, k, s), widened by the remainder bound ``radius``."""
+    """S(N-1, s) + B(N, k, s), widened by the remainder bound ``radius``; a
+    zero ``radius`` leaves the truncated sum itself, since widening by zero is
+    exact."""
     N, k = params.N, params.k
     table = fn.NegPowerTable(N, s, ctx)
     partial = ctx.box(0)
@@ -155,7 +156,6 @@ def _em_enclosure(
         value=ctx.cwiden(raw, radius),
         params=params,
         remainder_radius=radius,
-        raw_value=raw,
         prec=ctx.prec,
     )
 

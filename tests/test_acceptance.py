@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from oracles import box_separation, class_number_oracle, decimal_bracket, eta_zeta_oracle
 from zetaval import functions as fn
+from zetaval import rounding as rd
 from zetaval.characters import gauss_sum, make_elementary, make_kronecker
 from zetaval.dedekind import (
     DedekindParams,
@@ -29,6 +30,7 @@ from zetaval.exact import QuadraticDiscriminant, primes_up_to
 from zetaval.interval import CertifiedSign, ComplexBox, PrecisionContext, certify_nonzero
 from zetaval.zeta import (
     EMParams,
+    _em_enclosure,
     functional_eq_check,
     moduli_volume,
     zeta_auto,
@@ -103,7 +105,12 @@ def test_criterion_04_remainder_soundness_sweep():
         oracle = eta_zeta_oracle(s, ctx)
         for N, k in ((10, 2), (20, 4), (40, 6)):
             enc = zeta_em(s, EMParams(N, k), ctx)
-            if box_separation(oracle, enc.raw_value) <= enc.remainder_float():
+            # widening by zero is exact: this is the truncated sum itself
+            partial = _em_enclosure(s, EMParams(N, k), rd.ZERO, ctx).value
+            if (
+                ctx.cwiden(partial, enc.remainder_radius) == enc.value
+                and box_separation(oracle, partial) <= enc.remainder_float()
+            ):
                 passed += 1
     _report(4, f"remainder bound sound on sweep ({passed}/18)", passed == 18)
 

@@ -5,7 +5,8 @@ Prime-modulus and Kronecker characters share one exponent representation, and
 the exact ``(man, exp)`` endpoints that representation feeds: truncated
 L-series for Kronecker characters and for prime-modulus characters of order 4
 and 6, at a real and a complex s and at 128 and 512 bits; product-mode
-Dedekind zeta; ``char_value`` over a full period; Gauss sums of prime-modulus
+Dedekind zeta; direct-mode Dedekind zeta with its remainder radius;
+``char_value`` over a full period; Gauss sums of prime-modulus
 characters; and ``parity``.  Regenerate the table with
 ``python tests/test_character_pins.py`` only for a change that is meant to
 move endpoints.
@@ -28,6 +29,7 @@ from zetaval.zeta import EMParams
 PRECS = (128, 512)
 L_TERMS = 60
 S_VALUES = {"2.5": (Fraction(5, 2), 0), "2+3i": (2, 3)}
+DIRECT_S_VALUES = {"2": Fraction(2), "3.5": Fraction(7, 2)}
 L_CHARACTERS = {
     "kronecker(5)": lambda: make_kronecker(5),
     "kronecker(13)": lambda: make_kronecker(13),
@@ -61,6 +63,15 @@ def compute(group: str) -> dict:
     if group == "parity":
         return {name: (build().modulus, parity(build()).alpha)
                 for name, build in PARITY_CHARACTERS.items()}
+    if group == "dedekind_direct":
+        ctx = PrecisionContext(128)
+        params = DedekindParams(direct_terms=200)
+        for D in (5, 13):
+            K = RealQuadraticField.of(D)
+            for label, s in DIRECT_S_VALUES.items():
+                enc = dedekind_enclosure(K, ctx.interval(s), "direct", params, ctx)
+                out[f"D={D}@{label}@128"] = (_box_ends(enc.value), enc.remainder_radius)
+        return out
     for prec in PRECS:
         ctx = PrecisionContext(prec)
         if group == "l_truncated":
@@ -86,7 +97,8 @@ def compute(group: str) -> dict:
     return out
 
 
-GROUPS = ["l_truncated", "dedekind_product", "char_value", "gauss_sum_prime", "parity"]
+GROUPS = ["l_truncated", "dedekind_product", "dedekind_direct", "char_value", "gauss_sum_prime",
+          "parity"]
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -170,6 +182,12 @@ PINS: dict = {
         'D=13@128': (((0x4bb77001ccecb36e040a9a37aa155523, -126), (0x97ecfc1624989a9fdc550c88eecbf929, -127)), ((-0xfc3825157e6814331e2d843acdb780d5, -137), (0xfc3825157e6814331e2d843acdb780d5, -137))),
         'D=5@512': (((0x87e3b6e23fba57b351962524756f3e5cfc3a4191ea8fa8ea7bed719b5782140e785f1798cbd14f37a3659d13ca04403339759ccc7cc8f1290e20a131533815a1, -511), (0x8861d2f4ca797a249e02f826ed59214c05fc433f679298ced7dbf8d0f508cf221c53eb42dd52303216d64d8353cd627fcee0b5885a956e303f46404ba7267c77, -511)), ((-0x3f0e09455f915bc8de08d57d57b80351c1d5bbd4350248df13a467517c2cbe48d829d77d0538922bf271aff95c8cd97d9b623c5b05f4f9145b711189fcddeec3, -519), (0x3f0e09455f915bc8de08d57d57b80351c1d5bbd4350248df13a467517c2cbe48d829d77d0538922bf271aff95c8cd97d9b623c5b05f4f9145b711189fcddeec3, -519))),
         'D=13@512': (((0x976ee00399d966dc0815346f542aaa636ab06e5a851c2e765d5bb11491bd984b6bf864a9f35b261d030e2887101e65884a6f4a436eb75093f9a5b6ea0a28899, -507), (0x97ecfc1624989a9fdc550c88eecbf90c31c0cb1b3a007e78920eb8f81ee6ad2e19c73ada46dfc0b5dd237b2e9996d86a8e645805f07d901ba485cc1e210bbf53, -511)), ((-0xfc3825157e6814331e2d843acdb780c1a40d15c096c95f2dd792f9253566973714ac6a781c55857d130b2fe4d0d491538172feb40b58e544e2b079addd158739, -521), (0xfc3825157e6814331e2d843acdb780c1a40d15c096c95f2dd792f9253566973714ac6a781c55857d130b2fe4d0d491538172feb40b58e544e2b079addd158739, -521))),
+    },
+    'dedekind_direct': {
+        'D=5@2@128': ((((0x7036de6b2a8429f762773c91229b3b89, -127), (0xb89f3fb32810522c530fda0c1e52bb2d, -127)), ((-0x121a1851ff630a0d3c26275ebeeddfdd, -126), (0x121a1851ff630a0d3c26275ebeeddfdd, -126))), (0x121a1851ff630a0d3c26275ebeeddfdd, -126)),
+        'D=5@3.5@128': ((((0x81996d5b24ff40f6ef7fbc3cb08654ff, -127), (0x819b10c953b10529b9d763c372acd5d3, -127)), ((-0x346dc5d63886594af4f0d844d013a92d, -141), (0x346dc5d63886594af4f0d844d013a92d, -141))), (0x346dc5d63886594af4f0d844d013a92d, -141)),
+        'D=13@2@128': ((((0x119691f42023fee856163ce29e308871, -124), (0x6a8e78747f560fbbd0a54247f69de199, -126)), ((-0x121a1851ff630a0d3c26275ebeeddfdd, -126), (0x121a1851ff630a0d3c26275ebeeddfdd, -126))), (0x121a1851ff630a0d3c26275ebeeddfdd, -126)),
+        'D=13@3.5@128': ((((0x435f3bbe82f40e87be228b275b37c2f, -122), (0x43600d759a4cf0a1234e5eeabc4b035d, -126)), ((-0x346dc5d63886594af4f0d844d013a92d, -141), (0x346dc5d63886594af4f0d844d013a92d, -141))), (0x346dc5d63886594af4f0d844d013a92d, -141)),
     },
     'char_value': {
         'elementary(7,1)(0)@128': (((0x0, 0), (0x0, 0)), ((0x0, 0), (0x0, 0))),

@@ -146,6 +146,14 @@ def test_exit_code_usage(capsys):
     assert run(capsys, "--precision", "10", "zeta", "--re", "2")[0] == 64
 
 
+def test_precision_past_the_cap_is_a_usage_error(capsys):
+    # 15000 bits print 4517 digits, past Python's 4300-digit int-to-str limit
+    code, out, err = run(capsys, "--precision", "15000", "zeta-special", "--even", "1")
+    assert code == 64 and out == ""
+    assert "exceeds the cap of 10000" in err and "Traceback" not in err
+    assert run(capsys, "--precision", "10000", "zeta-special", "--even", "1")[0] == 0
+
+
 def test_uncertified_local_zeta_exit(capsys):
     code, _, err = run(capsys, "elliptic", "--coeffs", "0,0,0,0,1", "--local", "5", "--s", "0")
     assert code == 3

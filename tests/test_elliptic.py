@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from zetaval import elliptic, kernels
 from zetaval import functions as fn
 from zetaval import rounding as rd
 from zetaval.elliptic import (
@@ -293,6 +294,16 @@ def _local_traces(coeffs, primes_to):
     return out
 
 
+def _partial_product(e, s, primes_to):
+    """The product of the Euler factors before the tail factor, formed in
+    ascending prime order as ``hasse_weil_partial`` forms it."""
+    primes = primes_up_to(primes_to)
+    acc = ctx.one()
+    for p, a_p in zip(primes, kernels.count_points_batch(e.coeffs(), primes)):
+        acc = ctx.mul(acc, elliptic._euler_factor(elliptic._reduction(e, p, a_p), s, ctx))
+    return acc
+
+
 def _tree_product(xs: list[int]) -> int:
     """Product of xs by halves: big-integer products of balanced sizes."""
     if len(xs) == 1:
@@ -315,10 +326,12 @@ def test_hasse_weil_product_encloses_the_exact_rational(coeffs, primes_to):
         # the exact product is num/den; compare by cross-multiplying, since
         # reducing it costs more than the product at s = 200
         num, den = _tree_product(nums), _tree_product(dens)
-        raw = hasse_weil_partial(e, ctx.interval(s), primes_to, ctx).raw_value
-        lo, hi = raw.re.lo_fraction, raw.re.hi_fraction
+        value = hasse_weil_partial(e, ctx.interval(s), primes_to, ctx).value
+        product = _partial_product(e, ctx.interval(s), primes_to)
+        assert value.re.contains_interval(product)
+        lo, hi = product.lo_fraction, product.hi_fraction
         assert lo * den <= num <= hi * den, (coeffs, s, primes_to)
-        assert raw.im.lo == raw.im.hi == rd.ZERO
+        assert value.im.lo == value.im.hi == rd.ZERO
         # one outward rounding per factor and per product: about 2 ulp each
         assert (hi - lo) * den * 2**ctx.prec <= 4 * len(local) * num, (coeffs, s, primes_to)
 
@@ -345,11 +358,13 @@ def test_hasse_weil_at_real_noninteger_s_matches_mpmath(coeffs):
     with mpmath.workprec(2 * ctx.prec + 32):
         for s, samples in ((point, [Fraction(5, 2)]),
                            (box, [rd.to_fraction(box.lo), Fraction(5, 2), rd.to_fraction(box.hi)])):
-            raw = hasse_weil_partial(e, s, 300, ctx).raw_value
-            assert raw.im.lo == raw.im.hi == rd.ZERO
+            value = hasse_weil_partial(e, s, 300, ctx).value
+            product = _partial_product(e, s, 300)
+            assert value.re.contains_interval(product)
+            assert value.im.lo == value.im.hi == rd.ZERO
             for sample in samples:
                 want = _mp_partial_product(local, mpmath.mpf(sample.numerator) / sample.denominator)
-                assert raw.re.contains(_mp_fraction(want)), (coeffs, sample)
+                assert product.contains(_mp_fraction(want)), (coeffs, sample)
 
 
 def test_hasse_weil_leaves_the_log_cache_alone():

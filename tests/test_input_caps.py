@@ -99,3 +99,15 @@ def test_lfun_refuses_a_delta_past_the_default_term_cap(capsys):
     err = capsys.readouterr().err
     assert "past the cap of 3000" in err and "Traceback" not in err
     assert time.monotonic() - t0 < 2
+
+
+def test_lfun_given_terms_do_not_pass_the_cap(capsys):
+    # the m = 6.5e6 the clamp leaves of 10**8 terms was summed in full
+    t0 = time.monotonic()
+    assert main(["lfun", "--delta", "999999999989", "--terms", "100000000"]) == 2
+    err = capsys.readouterr().err
+    assert "past the cap of 3000" in err and "Traceback" not in err
+    assert time.monotonic() - t0 < 2
+    # the reported term count is the one summed
+    assert main(["--json", "lfun", "--delta", "5", "--terms", "600"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["terms"] == 15

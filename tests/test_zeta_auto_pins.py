@@ -2,8 +2,8 @@
 
 ``zeta_auto`` chooses (N, k, precision) from the target and makes one
 ``zeta_em`` call.  Every bit of what it returns is pinned here: the exact
-``(man, exp)`` endpoints of ``value``, ``raw_value`` and ``remainder_radius``,
-plus ``params`` and ``meets_target``, at 128 and 256 bits.  The five cases
+``(man, exp)`` endpoints of ``value`` and ``remainder_radius``, plus
+``params`` and ``meets_target``, at 128 and 256 bits.  The five cases
 include a box of nonzero radius.  Their labels name the round of the earlier
 doubling schedule that answered them; ``OLD_PINS`` keeps the value box that
 schedule returned, and each new box must meet its target, contain mpmath's
@@ -64,7 +64,6 @@ def compute(label: str, prec: int) -> dict:
     enc = _run(label, prec)
     return {
         "value": _box_ends(enc.value),
-        "raw_value": _box_ends(enc.raw_value),
         "radius": enc.remainder_radius,
         "params": enc.params,
         "meets_target": enc.meets_target,
@@ -173,70 +172,60 @@ EM_LOOP_PINS: dict = {
 PINS: dict = {
     'round1_s2@128': {
         'value': (((0xd28d3312983e98ddb591f37f04a281cd, -127), (0x694699894c1f4c9205ba3b620b4c2029, -126)), ((-0x8cabc5068a23eb7d, -121), (0x8cabc5068a23eb7d, -121))),
-        'raw_value': (((0xd28d3312983e9900e08335218d9d610d, -127), (0x694699894c1f4c8070419a90c6ceb089, -126)), ((0x0, 0), (0x0, 0))),
         'radius': (0x8cabc5068a23eb7d, -121),
         'params': EMParams(N=7, k=14),
         'meets_target': True,
     },
     'round2_s2.5+25i@128': {
         'value': (((0xecf686dfaec1bbd2fb7c476f6725f3f9, -128), (0x767b436fd760dde97f3ee1b8a1bf2ea7, -127)), ((0xf497c1f962411aeccc549b5392e5711b, -131), (0x7a4be0fcb1208d7672303db13ad45d8f, -130))),
-        'raw_value': (((0xecf686dfaec1bbd2fcfd05705552289, -124), (0xecf686dfaec1bbd2fcfd0570555228b7, -128)), ((0x7a4be0fcb1208d766c2d45ad82238ae7, -130), (0xf497c1f962411aecd85a8b5b0447166b, -131))),
         'radius': (0x3017c01dc58692c9, -133),
         'params': EMParams(N=15, k=20),
         'meets_target': True,
     },
     'round3_s1.5+18i@128': {
         'value': (((0xc5ce52d286728233f9a178c458848d01, -127), (0xc5ce52d286728233f9a178c458851487, -127)), ((-0x4a3290360b85124100316fd3099647db, -130), (-0x9465206c170a24820062dfa6132417c7, -131))),
-        'raw_value': (((0xc5ce52d286728233f9a178c45884d0ad, -127), (0xc5ce52d286728233f9a178c45884d0db, -127)), ((-0x2519481b05c289208018b7e984ca153f, -129), (-0x9465206c170a24820062dfa613285281, -131))),
         'radius': (0x875730f9804e936d, -176),
         'params': EMParams(N=18, k=31),
         'meets_target': True,
     },
     'box_s3+10i@128': {
         'value': (((0x465f41483c7d12c8cf9dd7584f0224d9, -126), (0x232fa0a41e3e896467ceebb35ae00ca9, -125)), ((-0xc9848c4778dfd7713f18dc536fd9f139, -132), (-0xc9848c4778dfd7713f18d8b9c04eb121, -132))),
-        'raw_value': (((0x1197d0520f1f44b233e775d7e0419a91, -124), (0x465f41483c7d12c8cf9dd75f83bbd3e7, -126)), ((-0xc9848c4778dfd7713f18da86eec89681, -132), (-0xc9848c4778dfd7713f18da8641600bd9, -132))),
         'radius': (0x3990222b56fb1c41, -153),
         'params': EMParams(N=13, k=23),
         'meets_target': True,
     },
     'capped_s2@128': {
         'value': (((0x694699894c1f4c8c39ec4891005d672f5ae446d5401, -170), (0x694699894c1f4c8c39ec4891005d672f5ae446d5413, -170)), ((-0x11c5f3734571fc29, -233), (0x11c5f3734571fc29, -233))),
-        'raw_value': (((0x34a34cc4a60fa6461cf62448802eb397ad72236aa01, -169), (0x34a34cc4a60fa6461cf62448802eb397ad72236aa09, -169)), ((0x0, 0), (0x0, 0))),
         'radius': (0x11c5f3734571fc29, -233),
         'params': EMParams(N=20, k=45),
         'meets_target': True,
     },
     'round1_s2@256': {
         'value': (((0x694699894c1f4c6edac8f9bf825140e763a4fcbfd93bfa7ade1969dda6c402b9, -254), (0xd28d3312983e99240b7476c41698404ec749f97fb277f4f5bc32d3bb4d880577, -255)), ((-0x8cabc5068a23eb7d, -121), (0x8cabc5068a23eb7d, -121))),
-        'raw_value': (((0x694699894c1f4c8070419a90c6ceb08763a4fcbfd93bfa7ade1969dda6c402b9, -254), (0xd28d3312983e9900e08335218d9d610ec749f97fb277f4f5bc32d3bb4d880577, -255)), ((0x0, 0), (0x0, 0))),
         'radius': (0x8cabc5068a23eb7d, -121),
         'params': EMParams(N=7, k=14),
         'meets_target': True,
     },
     'round2_s2.5+25i@256': {
         'value': (((0x3b3da1b7ebb06ef4bedf11dbd9c97d035248a05e718eeef6be943f4069f31d5, -250), (0xecf686dfaec1bbd2fe7dc371437e5d39d9228179c63bbbdafa50fd01a7cc7567, -256)), ((0x7a4be0fcb1208d76662a4da9c972b8b3f6ec6de264343544bc2b84104d420f19, -258), (0xf497c1f962411aece4607b6275a8bacc6dd8dbc4c8686a89785708209a841ec1, -259))),
-        'raw_value': (((0x3b3da1b7ebb06ef4bf3f415c15548a28e448a05e718eeef6be943f4069f31d5, -250), (0xecf686dfaec1bbd2fcfd0570555228a391228179c63bbbdafa50fd01a7cc7567, -256)), ((0x7a4be0fcb1208d766c2d45ad82238b0d16ec6de264343544bc2b84104d420f19, -258), (0xf497c1f962411aecd85a8b5b0447161a2dd8dbc4c8686a89785708209a841ec1, -259))),
         'radius': (0x3017c01dc58692c9, -133),
         'params': EMParams(N=15, k=20),
         'meets_target': True,
     },
     'round3_s1.5+18i@256': {
         'value': (((0xc5ce52d286728233f9a178c458848d14412941e5f138db291ef1484cdd309ec7, -255), (0x62e7296943394119fcd0bc622c428a35b911611a4252ed948f78a4266e984f7b, -254)), ((-0x9465206c170a24820062dfa6132c8e9f21553ebda05f9540cc836738070f9e25, -259), (-0x9465206c170a24820062dfa61324192c11bd39d4698f9540cc836738070f9bd1, -259))),
-        'raw_value': (((0xc5ce52d286728233f9a178c45884d0bfd9a6020d3aef5b291ef1484cdd309ec7, -255), (0x62e7296943394119fcd0bc622c42685fecd301069d77ad948f78a4266e984f7b, -254)), ((-0x9465206c170a24820062dfa6132853e599893c4904f79540cc836738070f9e25, -259), (-0x9465206c170a24820062dfa6132853e599893c4904f79540cc836738070f9bd1, -259))),
         'radius': (0x875730f9804e936d, -176),
         'params': EMParams(N=18, k=31),
         'meets_target': True,
     },
     'box_s3+10i@256': {
         'value': (((0x8cbe829078fa25919f3baeb09e0449b8d99cf04b073e6643fa9baee031bb8a0d, -255), (0x8cbe829078fa25919f3baecd6b80329bcd50b86e1c98bb779f88839ce051a5b9, -255)), ((-0x64c24623bc6febb89f8c6e29b7ecf880f0dc6dd8b355ddccf419add4bfe2e35b, -259), (-0x19309188ef1bfaee27e31b173809d62a3015ad12cd05ca6d7be8277ad60fb325, -257))),
-        'raw_value': (((0x8cbe829078fa25919f3baebf020cd48e9864008b073e6643fa9baee031bb8a0d, -255), (0x8cbe829078fa25919f3baebf0777a7c60e89a82e1c98bb779f88839ce051a5b9, -255)), ((-0x64c24623bc6febb89f8c6d4377644b25046b69d8b355ddccf419add4bfe2e35b, -259), (-0x19309188ef1bfaee27e31b50c82c01812b31ee12cd05ca6d7be8277ad60fb325, -257))),
         'radius': (0x3990222b56fb1c41, -153),
         'params': EMParams(N=13, k=23),
         'meets_target': True,
     },
     'capped_s2@256': {
         'value': (((0xd28d3312983e991873d8912200bace5eb5c88daa81149c27beb240ffad8f9e9b, -255), (0xd28d3312983e991873d8912200bace5eb5c88daa811d7f217854f9fdc20f9eab, -255)), ((-0x11c5f3734571fc29, -233), (0x11c5f3734571fc29, -233))),
-        'raw_value': (((0xd28d3312983e991873d8912200bace5eb5c88daa81190da49b839d7eb7cf9e9b, -255), (0xd28d3312983e991873d8912200bace5eb5c88daa81190da49b839d7eb7cf9eab, -255)), ((0x0, 0), (0x0, 0))),
         'radius': (0x11c5f3734571fc29, -233),
         'params': EMParams(N=20, k=45),
         'meets_target': True,
