@@ -30,7 +30,7 @@ from .errors import (
     UncertifiedDivisor,
 )
 from .exact import QuadraticDiscriminant
-from .interval import ComplexBox, PrecisionContext, RealInterval
+from .interval import ComplexBox, PrecisionContext
 from .zeta import EMParams, Enclosure, moduli_volume, zeta_auto, zeta_em, zeta_even, zeta_neg
 
 
@@ -83,6 +83,11 @@ class OutputRecord:
         return "\n".join(lines)
 
 
+# the largest decimal exponent accepted in a number: past it, exp's underflow
+# bound gives each n**-s of a table an exponent of millions of digits
+_EXPONENT_CAP = 50_000
+
+
 def _parse_exact(text: str) -> Fraction:
     try:
         value = Decimal(text)
@@ -90,6 +95,8 @@ def _parse_exact(text: str) -> Fraction:
         raise UsageError(f"not a decimal number: {text!r}") from exc
     if not value.is_finite():
         raise UsageError(f"not a finite decimal number: {text!r}")
+    if abs(value.adjusted()) > _EXPONENT_CAP:
+        raise UsageError(f"the decimal exponent of {text!r} exceeds the cap of {_EXPONENT_CAP}")
     return Fraction(value)
 
 
@@ -113,25 +120,6 @@ def _digits_within(box: ComplexBox, target: Fraction, digits: int) -> int:
             gap = max(rd._top(c.lo), rd._top(c.hi)) - rd._top(slack) + 1
             digits = max(digits, -(-gap * 30103 // 100000) + 2)  # 0.30103 > log10(2)
     return digits
-
-
-def _interval_payload(iv: RealInterval, digits: int) -> dict:
-    lo, hi = iv.to_decimal(digits)
-    return {"lo": lo, "hi": hi}
-
-
-def _box_payload(box: ComplexBox, digits: int) -> dict:
-    return {"re": _interval_payload(box.re, digits), "im": _interval_payload(box.im, digits)}
-
-
-def _rational_payload(fr: Fraction) -> dict:
-    return {"rational": f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)}
-
-
-def _remainder_str(radius: rd.MPF) -> str:
-    if radius == rd.ZERO:
-        return "0"
-    return rd.to_decimal(radius, 3, rd.CEIL)
 
 
 def _build_parser() -> _Parser:
@@ -191,70 +179,42 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _enclosure_record(cmd: str, params: dict, enc: Enclosure, digits: int, t0: float) -> OutputRecord:
-    return OutputRecord(
-        cmd=cmd,
-        params=params,
-        value=_box_payload(enc.value, digits),
-        remainder=_remainder_str(enc.remainder_radius),
-        ms=int((time.monotonic() - t0) * 1000),
-    )
-
-
-def _rational_record(cmd: str, params: dict, fr: Fraction, t0: float, note: str | None = None) -> OutputRecord:
-    return OutputRecord(
-        cmd=cmd,
-        params=params,
-        value=_rational_payload(fr),
-        remainder="0",
-        ms=int((time.monotonic() - t0) * 1000),
-        note=note,
-    )
-
-
-def _run_zeta(args, ctx: PrecisionContext, digits: int, t0: float) -> OutputRecord:
-    s = ComplexBox(ctx.interval(_parse_exact(args.re)), ctx.interval(_parse_exact(args.im)))
-    if args.width is not None:
-        target = _parse_exact(args.width)
-        enc = zeta_auto(s, target, ctx)
-        digits = _digits_within(enc.value, target, digits)
-        params = {
-            "re": args.re,
-            "im": args.im,
-            "width": args.width,
-            "N": enc.params.N,
-            "k": enc.params.k,
-            "precision": enc.prec,
-            "meets_target": enc.meets_target,
-        }
+def _record(params: dict, result: Enclosure | Fraction, digits: int = 0,
+            note: str | None = None, certified: bool = True) -> OutputRecord:
+    """The output of a subcommand, exact or a box; ``main`` fills in ``cmd`` and ``ms``."""
+    if isinstance(result, Fraction):
+        value, remainder = {"rational": str(result)}, "0"
     else:
+        params["precision"] = result.prec
+        box, radius = result.value, result.remainder_radius
+        value = {part: dict(zip(("lo", "hi"), iv.to_decimal(digits)))
+                 for part, iv in (("re", box.re), ("im", box.im))}
+        remainder = "0" if radius == rd.ZERO else rd.to_decimal(radius, 3, rd.CEIL)
+    return OutputRecord("", params, value, remainder, 0, certified, note)
+
+
+def _run_zeta(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
+    s = ComplexBox(ctx.interval(_parse_exact(args.re)), ctx.interval(_parse_exact(args.im)))
+    if args.width is None:
         enc = zeta_em(s, EMParams(args.N, args.k), ctx)
-        params = {"re": args.re, "im": args.im, "N": args.N, "k": args.k, "precision": enc.prec}
-    return _enclosure_record("zeta", params, enc, digits, t0)
+        return _record({"re": args.re, "im": args.im, "N": args.N, "k": args.k}, enc, digits)
+    target = _parse_exact(args.width)
+    enc = zeta_auto(s, target, ctx)
+    params = {"re": args.re, "im": args.im, "width": args.width, "N": enc.params.N,
+              "k": enc.params.k, "meets_target": enc.meets_target}
+    return _record(params, enc, _digits_within(enc.value, target, digits))
 
 
-def _run_zeta_special(args, ctx: PrecisionContext, digits: int, t0: float) -> OutputRecord:
-    if args.even is not None:
-        ze = zeta_even(args.even)
-        enc = ze.enclosure(ctx)
-        lo, hi = enc.to_decimal(digits)
-        record = OutputRecord(
-            cmd="zeta-special",
-            params={"even": args.even, "precision": ctx.prec},
-            value={
-                "rational": f"{ze.coefficient.numerator}/{ze.coefficient.denominator}",
-            },
-            remainder="0",
-            ms=int((time.monotonic() - t0) * 1000),
-            note=f"zeta({2 * args.even}) = r * pi^{ze.pi_power}, enclosed in [{lo}, {hi}]",
-        )
-        return record
-    return _rational_record(
-        "zeta-special", {"neg": args.neg}, zeta_neg(args.neg), t0
-    )
+def _run_zeta_special(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
+    if args.neg is not None:
+        return _record({"neg": args.neg}, zeta_neg(args.neg))
+    ze = zeta_even(args.even)
+    lo, hi = ze.enclosure(ctx).to_decimal(digits)
+    note = f"zeta({2 * args.even}) = r * pi^{ze.pi_power}, enclosed in [{lo}, {hi}]"
+    return _record({"even": args.even, "precision": ctx.prec}, ze.coefficient, note=note)
 
 
-def _run_elliptic(args, ctx: PrecisionContext, digits: int, t0: float) -> OutputRecord:
+def _run_elliptic(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
     try:
         parts = [int(c) for c in args.coeffs.split(",")]
     except ValueError as exc:
@@ -262,101 +222,63 @@ def _run_elliptic(args, ctx: PrecisionContext, digits: int, t0: float) -> Output
     if len(parts) != 5:
         raise UsageError("need exactly five coefficients a1,a2,a3,a4,a6")
     curve = derive_quantities(*parts)
-    base_params = {"coeffs": args.coeffs}
+    params = {"coeffs": args.coeffs}
 
     if args.invariants:
-        value = {
-            "b2": str(curve.b2),
-            "b4": str(curve.b4),
-            "b6": str(curve.b6),
-            "b8": str(curve.b8),
-            "c4": str(curve.c4),
-            "c6": str(curve.c6),
-            "disc": str(curve.disc),
-            "j": "undefined" if curve.j is None else f"{curve.j.numerator}/{curve.j.denominator}",
-        }
-        note = "; ".join(f"{k} = {v}" for k, v in value.items())
-        return OutputRecord(
-            cmd="elliptic",
-            params={**base_params, "invariants": True},
-            value={"rational": str(curve.disc)},
-            remainder="0",
-            certified=not curve.is_singular,
-            ms=int((time.monotonic() - t0) * 1000),
-            note=note,
-        )
+        j = "undefined" if curve.j is None else f"{curve.j.numerator}/{curve.j.denominator}"
+        names = ("b2", "b4", "b6", "b8", "c4", "c6", "disc")
+        note = "; ".join(f"{k} = {getattr(curve, k)}" for k in names)
+        return _record({**params, "invariants": True}, Fraction(curve.disc),
+                       note=f"{note}; j = {j}", certified=not curve.is_singular)
     if args.trace is not None:
         info = trace(curve, args.trace)
         if info.kind is ReductionKind.GOOD:
             note = f"good: t_p = {info.t_p}, A_p = {info.A_p}"
         else:
             note = f"bad: {info.kind.value}, t_p = {info.t_p}"
-        return _rational_record(
-            "elliptic",
-            {**base_params, "trace": info.p, "kind": info.kind.value},
-            Fraction(info.t_p),
-            t0,
-            note=note,
-        )
+        return _record({**params, "trace": info.p, "kind": info.kind.value}, Fraction(info.t_p), note=note)
     s = ctx.interval(_parse_exact(args.s))
     if args.local is not None:
         enc = local_zeta(curve, args.local, ComplexBox(s, ctx.zero()), ctx)
-        return _enclosure_record(
-            "elliptic", {**base_params, "local": args.local, "s": args.s}, enc, digits, t0
-        )
+        return _record({**params, "local": args.local, "s": args.s}, enc, digits)
     enc = hasse_weil_partial(curve, s, args.primes_up_to, ctx)
-    return _enclosure_record(
-        "elliptic",
-        {**base_params, "lseries": True, "s": args.s, "primes_up_to": args.primes_up_to},
-        enc,
-        digits,
-        t0,
-    )
+    params.update(lseries=True, s=args.s, primes_up_to=args.primes_up_to)
+    return _record(params, enc, digits)
 
 
 def _dispatch(args, ctx: PrecisionContext) -> OutputRecord:
     digits = _digits_for(ctx.prec)
-    t0 = time.monotonic()
     if args.command == "zeta":
-        return _run_zeta(args, ctx, digits, t0)
+        return _run_zeta(args, ctx, digits)
     if args.command == "zeta-special":
-        return _run_zeta_special(args, ctx, digits, t0)
+        return _run_zeta_special(args, ctx, digits)
     if args.command == "lfun":
         disc = QuadraticDiscriminant.from_discriminant(args.delta)
         # with no --terms, l_one_quadratic clamps m to where terms fall below the ulp
         terms = sys.maxsize if args.terms is None else args.terms
         enc = l_one_quadratic(disc.D, terms, ctx)
-        return _enclosure_record(
-            "lfun", {"delta": args.delta, "terms": enc.params.m, "precision": enc.prec}, enc,
-            digits, t0,
-        )
+        return _record({"delta": args.delta, "terms": enc.params.m}, enc, digits)
     if args.command == "ldir":
         try:
             q_str, m_str = args.char.split(",")
             q, m = int(q_str), int(m_str)
         except ValueError as exc:
             raise UsageError("--char expects q,m with integers q and m") from exc
-        chi = make_elementary(q, m)
         s = ComplexBox(ctx.interval(_parse_exact(args.s)), ctx.zero())
-        enc = l_truncated(chi, s, args.N, ctx)
-        return _enclosure_record(
-            "ldir", {"char": args.char, "s": args.s, "N": args.N}, enc, digits, t0
-        )
+        enc = l_truncated(make_elementary(q, m), s, args.N, ctx)
+        return _record({"char": args.char, "s": args.s, "N": args.N}, enc, digits)
     if args.command == "dedekind":
         K = RealQuadraticField.of(args.d)
         enc = dedekind_enclosure(K, ctx.interval(_parse_exact(args.s)), args.mode, DedekindParams(), ctx)
-        return _enclosure_record(
-            "dedekind", {"d": args.d, "s": args.s, "mode": args.mode}, enc, digits, t0
-        )
+        return _record({"d": args.d, "s": args.s, "mode": args.mode}, enc, digits)
     if args.command == "siegel":
-        return _rational_record("siegel", {"p": args.p}, siegel_zeta_minus1(args.p), t0)
+        return _record({"p": args.p}, siegel_zeta_minus1(args.p))
     if args.command == "hilbert-volume":
-        return _rational_record("hilbert-volume", {"p": args.p}, hilbert_volume(args.p), t0)
+        return _record({"p": args.p}, hilbert_volume(args.p))
     if args.command == "moduli-volume":
-        vol, _enc = moduli_volume(args.g, PrecisionContext(128))
-        return _rational_record("moduli-volume", {"g": args.g}, vol, t0)
+        return _record({"g": args.g}, moduli_volume(args.g, ctx)[0])
     if args.command == "elliptic":
-        return _run_elliptic(args, ctx, digits, t0)
+        return _run_elliptic(args, ctx, digits)
     raise UsageError(f"unknown command {args.command!r}")
 
 
@@ -374,6 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
+    t0 = time.monotonic()
     try:
         record = _dispatch(args, ctx)
     except UsageError as exc:
@@ -385,6 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, NotPrime, SingularModel, DivisionByZeroInterval) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
+    record.cmd, record.ms = args.command, int((time.monotonic() - t0) * 1000)
     print(record.to_json() if args.json else record.to_text())
     return 0
 

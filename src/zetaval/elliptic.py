@@ -226,7 +226,7 @@ def hasse_weil_partial(
     tail = fn.exp(RealInterval(rd.neg(b_up), b_up), ctx)
     return Enclosure(
         value=ComplexBox(ctx.mul(acc, tail), ctx.zero()),
-        params={"primes_to": primes_to, "log_tail_bound": rd.to_float(b_up, rd.CEIL)},
+        params={"primes_to": primes_to},
         remainder_radius=b_up,
         prec=ctx.prec,
     )

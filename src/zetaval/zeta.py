@@ -188,7 +188,17 @@ def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure
     """Euler-Maclaurin enclosure of zeta over the box s."""
     _check_domain(s)
     # the bound first, so a k past the Bernoulli cap fails before any sum
-    radius = _em_bound(_em_factor(s, params.k), s, params.N, params.k)
+    N, k = params.N, params.k
+    factor = _em_factor(s, k)
+    radius = _em_bound(factor, s, N, k)
+    # bound(k) / bound(k-1) = F(s, k) / (N**2 F(s, k-1)): a k-th correction
+    # that widens the bound means k is past the best for this N and s
+    if rd.cmp(radius, rd.mul_2exp(rd.ONE, -ctx.prec)) >= 0 and rd.cmp(
+        factor, rd.mul(rd.from_int(N * N), _em_factor(s, k - 1), _BOUND_PREC, rd.FLOOR)
+    ) >= 0:
+        raise DomainError(
+            f"the remainder bound grows at k = {k} for N = {N}; lower k or raise N"
+        )
     return _em_enclosure(s, params, radius, ctx)
 
 

@@ -220,7 +220,7 @@ def test_criterion_14_hasse_weil_partial():
     ok = (
         n100.value.re.intersects(n1000.value.re)
         and n1000.value.re.width_float() < n100.value.re.width_float()
-        and n100.params["log_tail_bound"] <= 0.62
+        and n100.remainder_float() <= 0.62
     )
     _report(14, "Hasse-Weil partial products consistent; tail bound <= 0.62", ok)
 

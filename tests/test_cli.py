@@ -5,6 +5,8 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
+
 from zetaval.cli import main
 
 
@@ -186,6 +188,9 @@ def test_resource_refusals_are_fast_domain_errors(capsys):
         ("zeta", "--re", "2", "--N", "100000000"),
         ("zeta", "--re", "2", "--width", "1e-1000"),
         ("zeta", "--re", "2", "--im", "1e6", "--width", "1e-10"),
+        # k past the best for N: once exit 0 with a box 1e166 wide, and with a remainder of 0.75
+        ("zeta", "--re", "2", "--N", "40", "--k", "499"),
+        ("zeta", "--re", "2", "--im", "30", "--N", "4", "--k", "6"),
     ):
         t0 = time.monotonic()
         code, _, err = run(capsys, *argv)
@@ -265,3 +270,52 @@ def test_width_mode_reports_the_precision_it_summed_at(capsys):
     code, out, _ = run(capsys, "--json", "zeta", "--re", "2", "--im", "1", "--width", "1e-150")
     assert code == 0
     assert json.loads(out)["params"]["precision"] == 539
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeta", "--re", "2", "--im", "1"),
+        ("zeta", "--re", "2", "--im", "1", "--width", "1e-10"),
+        ("lfun", "--delta", "5", "--terms", "20"),
+        ("ldir", "--char", "7,2", "--s", "2.5", "--N", "50"),
+        ("dedekind", "--d", "5", "--s", "2", "--mode", "product"),
+        ("dedekind", "--d", "5", "--s", "2", "--mode", "direct"),
+        ("elliptic", "--coeffs", "0,0,0,0,1", "--local", "5", "--s", "2"),
+        ("elliptic", "--coeffs", "0,-1,1,0,0", "--lseries", "--s", "2", "--primes-up-to", "100"),
+    ],
+)
+def test_every_box_reports_its_precision(capsys, argv):
+    # width mode sums at no less than --precision, and a 1e-10 target needs fewer bits
+    code, out, _ = run(capsys, "--json", "--precision", "96", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cmd"] == argv[0]
+    assert payload["params"]["precision"] == 96
+
+
+def test_the_best_k_for_a_small_n_still_runs(capsys):
+    # k = 1 is the best k at N = 4, s = 2 + 30i, so its wide box is still printed
+    code, out, _ = run(capsys, "zeta", "--re", "2", "--im", "30", "--N", "4", "--k", "1")
+    assert code == 0 and "remainder <= 2.27e-01" in out
+
+
+def test_decimal_exponents_past_the_cap_are_fast_usage_errors(capsys):
+    # each n**-s of a table once carried an exponent of millions of digits:
+    # 53 s and 4.3 GB for the ldir line, 24.7 s and 4.2 GB for dedekind
+    for argv in (
+        ("zeta", "--re", "1e50001"),
+        ("zeta", "--re", "2", "--im=-1e-50001"),
+        ("ldir", "--char", "5,1", "--s", "1e10000000"),
+        ("dedekind", "--d", "5", "--s", "1e1000000", "--mode", "direct"),
+        ("zeta", "--re", "1e10000000"),
+    ):
+        t0 = time.monotonic()
+        code, _, err = run(capsys, *argv)
+        assert code == 64 and "exceeds the cap" in err and "Traceback" not in err, argv
+        assert time.monotonic() - t0 < 1, argv
+
+
+def test_decimal_exponent_at_the_cap_still_runs(capsys):
+    code, out, _ = run(capsys, "dedekind", "--d", "5", "--s", "1e50000", "--mode", "direct")
+    assert code == 0 and "certified: true" in out

@@ -249,7 +249,7 @@ def test_hasse_weil_refinement():
 def test_hasse_weil_tail_bound_value():
     e = derive_quantities(*CURVE_11A3)
     enc = hasse_weil_partial(e, ctx.interval(2), 100, ctx)
-    assert enc.params["log_tail_bound"] <= 0.62
+    assert enc.remainder_float() <= 0.62
 
 
 def test_hasse_weil_preconditions():
