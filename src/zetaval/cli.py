@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exact import QuadraticDiscriminant
 from .interval import ComplexBox, PrecisionContext
-from .zeta import EMParams, Enclosure, moduli_volume, zeta_auto, zeta_em, zeta_even, zeta_neg
+from .zeta import EMParams, Enclosure, em_k_past_best, moduli_volume, zeta_auto, zeta_em, zeta_even, zeta_neg
 
 
 class UsageError(Exception):
@@ -132,8 +132,9 @@ def _build_parser() -> _Parser:
     p_zeta = sub.add_parser("zeta", help="zeta(s) enclosure on Re(s) >= 1")
     p_zeta.add_argument("--re", required=True)
     p_zeta.add_argument("--im", default="0")
-    p_zeta.add_argument("--N", type=int, default=32)
-    p_zeta.add_argument("--k", type=int, default=6)
+    # None when not given: only a chosen (N, k) is refused for a k past the best
+    p_zeta.add_argument("--N", type=int, default=None, help="cut point (default 32)")
+    p_zeta.add_argument("--k", type=int, default=None, help="Bernoulli corrections (default 6)")
     p_zeta.add_argument("--width", default=None, help="target width; switches to adaptive mode")
 
     p_special = sub.add_parser("zeta-special", help="exact zeta values")
@@ -196,8 +197,13 @@ def _record(params: dict, result: Enclosure | Fraction, digits: int = 0,
 def _run_zeta(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
     s = ComplexBox(ctx.interval(_parse_exact(args.re)), ctx.interval(_parse_exact(args.im)))
     if args.width is None:
-        enc = zeta_em(s, EMParams(args.N, args.k), ctx)
-        return _record({"re": args.re, "im": args.im, "N": args.N, "k": args.k}, enc, digits)
+        chosen = {key: v for key, v in (("N", args.N), ("k", args.k)) if v is not None}
+        params = EMParams(**chosen)
+        if chosen and em_k_past_best(s, params, ctx.prec):
+            raise DomainError(
+                f"the remainder bound grows at k = {params.k} for N = {params.N}; lower k or raise N")
+        enc = zeta_em(s, params, ctx)
+        return _record({"re": args.re, "im": args.im, "N": params.N, "k": params.k}, enc, digits)
     target = _parse_exact(args.width)
     enc = zeta_auto(s, target, ctx)
     params = {"re": args.re, "im": args.im, "width": args.width, "N": enc.params.N,

@@ -184,21 +184,27 @@ def _em_correction(
     return ctx.cmul(n_pow, _plus_real(inner, ctx.interval(Fraction(1, 2)), ctx))
 
 
+def em_k_past_best(s: ComplexBox, params: EMParams, prec: int) -> bool:
+    """True when k is past the best for N at s: the k-th Bernoulli correction
+    widens zeta_em's remainder bound, and that bound is at least 2**-prec.
+    bound(k) / bound(k-1) = F(s, k) / (N**2 F(s, k-1)), as the N**-sigma
+    factor is shared; k = 1 has no k - 1 and is never past."""
+    _check_domain(s)
+    N, k = params.N, params.k
+    if k == 1:
+        return False
+    factor = _em_factor(s, k)
+    if rd.cmp(_em_bound(factor, s, N, k), rd.mul_2exp(rd.ONE, -prec)) < 0:
+        return False
+    widened = rd.mul(rd.from_int(N * N), _em_factor(s, k - 1), _BOUND_PREC, rd.FLOOR)
+    return rd.cmp(factor, widened) >= 0
+
+
 def zeta_em(s: ComplexBox, params: EMParams, ctx: PrecisionContext) -> Enclosure:
     """Euler-Maclaurin enclosure of zeta over the box s."""
     _check_domain(s)
     # the bound first, so a k past the Bernoulli cap fails before any sum
-    N, k = params.N, params.k
-    factor = _em_factor(s, k)
-    radius = _em_bound(factor, s, N, k)
-    # bound(k) / bound(k-1) = F(s, k) / (N**2 F(s, k-1)): a k-th correction
-    # that widens the bound means k is past the best for this N and s
-    if rd.cmp(radius, rd.mul_2exp(rd.ONE, -ctx.prec)) >= 0 and rd.cmp(
-        factor, rd.mul(rd.from_int(N * N), _em_factor(s, k - 1), _BOUND_PREC, rd.FLOOR)
-    ) >= 0:
-        raise DomainError(
-            f"the remainder bound grows at k = {k} for N = {N}; lower k or raise N"
-        )
+    radius = _em_bound(_em_factor(s, params.k), s, params.N, params.k)
     return _em_enclosure(s, params, radius, ctx)
 
 

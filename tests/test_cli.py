@@ -294,18 +294,42 @@ def test_every_box_reports_its_precision(capsys, argv):
     assert payload["params"]["precision"] == 96
 
 
-def test_the_best_k_for_a_small_n_still_runs(capsys):
-    # k = 1 is the best k at N = 4, s = 2 + 30i, so its wide box is still printed
-    code, out, _ = run(capsys, "zeta", "--re", "2", "--im", "30", "--N", "4", "--k", "1")
-    assert code == 0 and "remainder <= 2.27e-01" in out
+@pytest.mark.parametrize(
+    "argv, remainder",
+    [
+        # k = 1 is the best k at N = 4, s = 2 + 30i, so its wide box is still printed
+        (("--re", "2", "--im", "30", "--N", "4", "--k", "1"), "2.27e-01"),
+        # F(50, 1) >= 4 F(50, 0), but no k lower than 1 exists
+        (("--re", "50", "--N", "2", "--k", "1"), "2.05e-14"),
+    ],
+)
+def test_the_best_k_for_a_small_n_still_runs(capsys, argv, remainder):
+    code, out, _ = run(capsys, "zeta", *argv)
+    assert code == 0 and f"remainder <= {remainder}" in out
+
+
+def test_only_a_chosen_k_is_refused_past_the_best(capsys):
+    # at s = 200 and 1024 bits, F(200, 6) >= 32**2 F(200, 5) and the bound is
+    # 4e-302: the default (N, k) of zeta and the fixed (N, k) of the Dedekind
+    # product still print their boxes; an explicit --k 6 is refused
+    for argv in (("zeta", "--re", "200"), ("dedekind", "--d", "5", "--s", "200", "--mode", "product")):
+        code, out, _ = run(capsys, "--precision", "1024", *argv)
+        assert code == 0 and "certified: true" in out, argv
+    code, _, err = run(capsys, "--precision", "1024", "zeta", "--re", "200", "--k", "6")
+    assert code == 2 and "lower k or raise N" in err
+    # k = 2 is the best k at N = 32: 3.10e-302 against 4.07e-302 at k = 6
+    code, out, _ = run(capsys, "--precision", "1024", "zeta", "--re", "200", "--k", "2")
+    assert code == 0 and "remainder <= 3.10e-302" in out
 
 
 def test_decimal_exponents_past_the_cap_are_fast_usage_errors(capsys):
     # each n**-s of a table once carried an exponent of millions of digits:
-    # 53 s and 4.3 GB for the ldir line, 24.7 s and 4.2 GB for dedekind
+    # 53 s and 4.3 GB for the ldir line, 24.7 s and 4.2 GB for dedekind;
+    # a tiny exponent of the same size took 16 s for zeta
     for argv in (
         ("zeta", "--re", "1e50001"),
         ("zeta", "--re", "2", "--im=-1e-50001"),
+        ("zeta", "--re", "2", "--im=1e-10000000"),
         ("ldir", "--char", "5,1", "--s", "1e10000000"),
         ("dedekind", "--d", "5", "--s", "1e1000000", "--mode", "direct"),
         ("zeta", "--re", "1e10000000"),
