@@ -41,11 +41,8 @@ class DirichletCharacter:
 
     modulus: int
     order: int
-    exponent_of: Callable[[int], int | None]
-
-    def exponent(self, n: int) -> int | None:
-        """e in [0, order) with chi(n) = exp(2 pi i e/order), or None if chi(n) = 0."""
-        return self.exponent_of(n)
+    # n -> e in [0, order) with chi(n) = exp(2 pi i e/order), or None if chi(n) = 0
+    exponent: Callable[[int], int | None]
 
     def sign(self, n: int) -> int:
         """chi(n) in {-1, 0, 1}; only for characters with real values."""

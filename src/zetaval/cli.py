@@ -231,7 +231,7 @@ def _run_elliptic(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
     params = {"coeffs": args.coeffs}
 
     if args.invariants:
-        j = "undefined" if curve.j is None else f"{curve.j.numerator}/{curve.j.denominator}"
+        j = "undefined" if curve.j is None else str(curve.j)
         names = ("b2", "b4", "b6", "b8", "c4", "c6", "disc")
         note = "; ".join(f"{k} = {getattr(curve, k)}" for k in names)
         return _record({**params, "invariants": True}, Fraction(curve.disc),

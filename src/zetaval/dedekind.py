@@ -25,9 +25,9 @@ from fractions import Fraction
 from . import functions as fn
 from . import rounding as rd
 from .characters import make_kronecker
-from .dirichlet import l_truncated
+from .dirichlet import _power_tail, l_truncated
 from .errors import DomainError
-from .exact import QuadraticDiscriminant, is_prime, kronecker, sigma1
+from .exact import QuadraticDiscriminant, _divisors, is_prime, kronecker, sigma1
 from .interval import ComplexBox, PrecisionContext, RealInterval
 from .zeta import EMParams, Enclosure, zeta_em
 
@@ -80,15 +80,7 @@ def ideal_count(K: RealQuadraticField, n: int) -> int:
     if n < 1:
         raise DomainError("need n >= 1")
     delta = K.discriminant.delta
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += kronecker(delta, d)
-            if d != n // d:
-                total += kronecker(delta, n // d)
-        d += 1
-    return total
+    return sum(kronecker(delta, d) for d in _divisors(n))
 
 
 def dedekind_enclosure(
@@ -111,8 +103,9 @@ def dedekind_enclosure(
         z = zeta_em(s_box, params.em, ctx)
         chi = make_kronecker(K.D)
         l_val = l_truncated(chi, s_box, params.l_terms, ctx)
+        # at real s both factors are real, so their values lie in the real parts
         return Enclosure(
-            value=ctx.cmul(z.value, l_val.value),
+            value=ComplexBox(ctx.mul(z.value.re, l_val.value.re), ctx.zero()),
             params=params,
             remainder_radius=rd.ZERO,  # both factor widenings already applied
             prec=ctx.prec,
@@ -133,14 +126,7 @@ def dedekind_enclosure(
 
     # r_K(n) <= sigma_0(n) <= 2 sqrt(n), so the tail is below
     # 2 sum_{n>N} n^(1/2-sigma) <= 2 N^(3/2-sigma)/(sigma-3/2)
-    sigma_lo = RealInterval(s.lo, s.lo)
-    log_n = fn.log(ctx.interval(N), ctx)
-    expo = ctx.mul(ctx.sub(ctx.interval(Fraction(3, 2)), sigma_lo), log_n)
-    tail = ctx.div(
-        ctx.scale_2exp(fn.exp(expo, ctx), 1),
-        ctx.sub(sigma_lo, ctx.interval(Fraction(3, 2))),
-    )
-    radius = tail.hi
+    radius = rd.mul_2exp(_power_tail(N, Fraction(3, 2), s.lo, ctx), 1)
     return Enclosure(
         value=ctx.cwiden(total, radius),
         params=params,

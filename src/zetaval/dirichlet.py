@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import functions as fn
 from . import rounding as rd
@@ -210,24 +211,22 @@ def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
     )
 
 
+def _power_tail(N: int, c: int | Fraction, sigma_lo: rd.MPF, ctx: PrecisionContext) -> rd.MPF:
+    """Upper end of N^(c-sigma)/(sigma-c) >= sum_{n>N} n^(c-1-sigma), at sigma = sigma_lo > c."""
+    sigma = RealInterval(sigma_lo, sigma_lo)
+    c_iv = ctx.interval(c)
+    power = fn.exp(ctx.mul(ctx.sub(c_iv, sigma), fn.log(ctx.interval(N), ctx)), ctx)
+    return ctx.div(power, ctx.sub(sigma, c_iv)).hi
+
+
 def _times_chi(
     chi: DirichletCharacter, n: int, e: int, z: ComplexBox, cache: dict[int, ComplexBox],
     ctx: PrecisionContext,
 ) -> ComplexBox:
     """chi(n) z for chi(n) = exp(2 pi i e/order), with enclosures of chi(n) cached by e.
 
-    At a quarter turn chi(n) is 1, i, -1 or -i and the product is a swap or
-    negation of the parts, bit-identical to ``cmul`` by the exact unit box.
+    At a quarter turn ``char_value`` is the exact unit box, so the product is exact.
     """
-    quarter, rest = divmod(4 * e, chi.order)
-    if rest == 0:
-        if quarter == 0:
-            return z
-        if quarter == 2:
-            return ctx.cneg(z)
-        if quarter == 1:
-            return ComplexBox(ctx.neg(z.im), z.re)
-        return ComplexBox(z.im, ctx.neg(z.re))
     cv = cache.get(e)
     if cv is None:
         cv = cache[e] = char_value(chi, n, ctx)
@@ -251,13 +250,7 @@ def l_truncated(
             total = ctx.cadd(total, _times_chi(chi, n, e, table[n], value_cache, ctx))
 
     # |sum_{n>N} chi(n) n^-s| <= sum_{n>N} n^-sigma <= N^(1-sigma)/(sigma-1)
-    sigma_lo = RealInterval(s.re.lo, s.re.lo)
-    log_n = fn.log(ctx.interval(N), ctx)
-    tail = ctx.div(
-        fn.exp(ctx.mul(ctx.sub(ctx.one(), sigma_lo), log_n), ctx),
-        ctx.sub(sigma_lo, ctx.one()),
-    )
-    radius = tail.hi
+    radius = _power_tail(N, 1, s.re.lo, ctx)
     return Enclosure(
         value=ctx.cwiden(total, radius),
         params={"N": N, "modulus": chi.modulus},

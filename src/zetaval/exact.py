@@ -5,12 +5,13 @@ produced from integer tangent numbers, memoized; indices past
 ``_BERNOULLI_CAP`` are refused.  Primality and squarefreeness are
 deterministic trial division, which keeps the "validated" claim free of
 probabilistic steps; the quadratic discriminant constructors refuse D past
-``_SQUAREFREE_CAP`` so that the test stays near a second.
+``_SQUAREFREE_CAP`` so that the test stays well under a second.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -21,7 +22,7 @@ from .errors import DomainError, NotPrime
 # 2-core VM (B_890, which a 1024-bit zeta at width 1e-400 needs, 0.12 s)
 _BERNOULLI_CAP = 1000
 # largest squarefree part D of a quadratic discriminant: is_squarefree takes
-# about 0.3 s at 10**12 and 2.7 s at 10**14
+# about 0.09 s at 10**12 and 0.8 s at 10**14 on a 2-core VM (primes, the worst case)
 _SQUAREFREE_CAP = 10**12
 
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
@@ -60,19 +61,22 @@ def _fill_bernoulli(m: int) -> None:
         _bernoulli_cache.extend((b if j % 2 else -b, Fraction(0)))
 
 
+def _divisors(n: int) -> Iterator[int]:
+    """Each divisor of n >= 1 once, in pairs d, n//d with d*d <= n."""
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            yield d
+            if d != n // d:
+                yield n // d
+        d += 1
+
+
 def sigma1(n: int) -> int:
     """Sum of the divisors of n."""
     if n < 1:
         raise DomainError("sigma1 needs n >= 1")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d
-            if d != n // d:
-                total += n // d
-        d += 1
-    return total
+    return sum(_divisors(n))
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -127,14 +131,7 @@ def is_prime(n: int) -> bool:
 
 
 def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return n >= 1 and math.prod(_factor_trial(n)) == n
 
 
 @dataclass(frozen=True)

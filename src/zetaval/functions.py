@@ -311,7 +311,7 @@ def exp(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     if rd.cmp(x.hi, _EXP_UNDERFLOW) <= 0:
         return RealInterval(rd.ZERO, (1, math.ceil(rd.to_fraction(x.hi) * _LOG2_E_LO)))
     k_guess = max(0, rd._top(x.hi), rd._top(x.lo))
-    inner = ctx.with_precision(ctx.prec + _GUARD + k_guess + 8)
+    inner = PrecisionContext(ctx.prec + _GUARD + k_guess + 8)
     m, r = _mid_rad(x, inner.prec)
     if not _narrow(r, ctx):
         return _monotone_hull(x, ctx, lambda v: _exp_point(v, inner))
@@ -354,7 +354,7 @@ def log(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     """Enclosure of the natural logarithm over x; requires x.lo > 0."""
     if rd.sign(x.lo) <= 0:
         raise DomainError("log needs a strictly positive interval")
-    inner = ctx.with_precision(ctx.prec + _GUARD)
+    inner = PrecisionContext(ctx.prec + _GUARD)
     return _monotone_hull(x, ctx, lambda v: _log_point(v, inner))
 
 
@@ -409,7 +409,7 @@ def _reduce(v: rd.MPF, ctx: PrecisionContext) -> tuple[int, RealInterval]:
     k = floor(num/den + 1/2): so |v/h - k| <= 1/2, and |r| is at most pi/4
     plus that slack, under 0.8.
     """
-    rctx = ctx.with_precision(ctx.prec + max(0, rd._top(v) - _GUARD))
+    rctx = PrecisionContext(ctx.prec + max(0, rd._top(v) - _GUARD))
     half_pi = rctx.scale_2exp(pi(rctx), -1)
     (num, ev), (den, eh) = v, half_pi.lo
     num <<= max(0, ev - eh)
@@ -476,7 +476,7 @@ def sin_cos(x: RealInterval, ctx: PrecisionContext) -> tuple[RealInterval, RealI
     """
     if max(rd._top(x.lo), rd._top(x.hi)) > _TRIG_TOP:
         return _UNIT, _UNIT
-    inner = ctx.with_precision(ctx.prec + _GUARD)
+    inner = PrecisionContext(ctx.prec + _GUARD)
     m, r = _mid_rad(x, inner.prec)
     if _narrow(r, ctx):
         s, c = _sin_cos_point(m, inner)
@@ -545,7 +545,7 @@ def _atan_point(v: rd.MPF, ctx: PrecisionContext) -> RealInterval:
 
 def atan(x: RealInterval, ctx: PrecisionContext) -> RealInterval:
     """Enclosure of arctan over x (monotone: endpoint evaluation)."""
-    inner = ctx.with_precision(ctx.prec + _GUARD)
+    inner = PrecisionContext(ctx.prec + _GUARD)
     return _monotone_hull(x, ctx, lambda v: _atan_point(v, inner))
 
 

@@ -38,12 +38,9 @@ _Exact = int | Fraction | str | float | Decimal
 def _as_fraction(v: _Exact) -> Fraction:
     if isinstance(v, str):
         return Fraction(Decimal(v))
-    if isinstance(v, (int, Rational, Decimal)):
-        return Fraction(v)
-    if isinstance(v, float):
+    if isinstance(v, (Rational, Decimal, float)):
         return Fraction(v)
     raise TypeError(f"cannot interpret {v!r} as an exact number")
-
 
 
 def _mpf_min(first: rd.MPF, *rest: rd.MPF) -> rd.MPF:
@@ -186,18 +183,11 @@ class PrecisionContext:
     bits plus the operation set, so any number of threads may share one.
     """
 
-    working_precision: int = 128
+    prec: int = 128
 
     def __post_init__(self) -> None:
-        if self.working_precision < 53:
-            raise ValueError("working_precision must be >= 53 bits")
-
-    @property
-    def prec(self) -> int:
-        return self.working_precision
-
-    def with_precision(self, bits: int) -> "PrecisionContext":
-        return PrecisionContext(bits)
+        if self.prec < 53:
+            raise ValueError("prec must be >= 53 bits")
 
     # -- construction -----------------------------------------------------
 

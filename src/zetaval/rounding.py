@@ -232,17 +232,6 @@ def to_float(x: MPF, rnd: str) -> float:
     return f
 
 
-def _dec_exponent(m: int, e: int) -> int:
-    """E with 10**E <= man*2**exp < 10**(E+1) for positive man."""
-    est = int(math.floor((e + m.bit_length()) * 0.30102999566398114)) - 1
-    # correct the estimate exactly (loop runs O(1) times)
-    while _cmp_pow10(m, e, est + 1) >= 0:
-        est += 1
-    while _cmp_pow10(m, e, est) < 0:
-        est -= 1
-    return est
-
-
 def _cmp_pow10(m: int, e: int, k: int) -> int:
     """Compare man*2**exp against 10**k (man > 0)."""
     # man*2**e ? 5**k * 2**k
@@ -300,7 +289,9 @@ def to_decimal(x: MPF, digits: int, rnd: str) -> str:
                 return "0" if k < 0 else sign + "inf"
             k = _DEC_EXPONENT_FALLBACK if k > 0 else -_DEC_EXPONENT_FALLBACK
         return sign + f"1e{k:+d}"
-    E = _dec_exponent(a, e)
+    E = k_hi - 1  # k_hi - k_lo <= 2, so this steps down at most once
+    while _cmp_pow10(a, e, E) < 0:
+        E -= 1
     t = digits - 1 - E
     # signed scaled value m * 2**e * 10**t, rounded to an integer toward rnd
     num = m * (5 ** t if t >= 0 else 1)

@@ -115,23 +115,45 @@ def _mp_fraction(y: mpmath.mpf) -> Fraction:
     return Fraction(-man if sign else man) * Fraction(2) ** e
 
 
-# EM_LOOP_PINS, at the end of the file, holds the product-mode boxes from
-# before the zeta factor's remainder bound went to 64 bits and its Bernoulli
-# correction to Horner's rule.  Each new box must contain zeta(s) L(s, chi_D),
-# meet its old box and be no wider than it by more than 2**-56 relative.
-@pytest.mark.parametrize("D,prec", [(D, prec) for prec in PRECS for D in (5, 13)])
-def test_dedekind_product_contains_the_value_and_meets_the_loop_box(D, prec):
-    new, old = PINS["dedekind_product"][f"D={D}@{prec}"], EM_LOOP_PINS[f"D={D}@{prec}"]
+def _product_value(D: int, prec: int) -> Fraction:
+    """zeta(5/2) L(5/2, chi_D) from mpmath at twice the precision."""
     # D = 5 and 13 are primes 1 mod 4: chi_D(n) is the Legendre symbol (n/D)
     chi = [0] + [1 if pow(n, (D - 1) // 2, D) == 1 else -1 for n in range(1, D)]
     with mpmath.workprec(2 * prec + 32):
         s = mpmath.mpf(5) / 2
-        value = _mp_fraction(mpmath.zeta(s) * mpmath.dirichlet(s, chi))
+        return _mp_fraction(mpmath.zeta(s) * mpmath.dirichlet(s, chi))
+
+
+PRODUCT_CASES = [(D, prec) for prec in PRECS for D in (5, 13)]
+
+
+# EM_LOOP_PINS, at the end of the file, holds the product-mode boxes from
+# before the zeta factor's remainder bound went to 64 bits and its Bernoulli
+# correction to Horner's rule.  Each new box must contain zeta(s) L(s, chi_D),
+# meet its old box and be no wider than it by more than 2**-56 relative.
+@pytest.mark.parametrize("D,prec", PRODUCT_CASES)
+def test_dedekind_product_contains_the_value_and_meets_the_loop_box(D, prec):
+    new, old = PINS["dedekind_product"][f"D={D}@{prec}"], EM_LOOP_PINS[f"D={D}@{prec}"]
+    value = _product_value(D, prec)
     for (lo, hi), (old_lo, old_hi), v in zip(new, old, (value, Fraction(0))):
         assert rd.to_fraction(lo) <= v <= rd.to_fraction(hi)
         assert rd.cmp(lo, old_hi) <= 0 and rd.cmp(old_lo, hi) <= 0
         old_width = rd.to_fraction(old_hi) - rd.to_fraction(old_lo)
         assert rd.to_fraction(hi) - rd.to_fraction(lo) <= old_width * (1 + Fraction(1, 2**56))
+
+
+# CMUL_PRODUCT_PINS, at the end of the file, holds the product-mode boxes from
+# before product mode multiplied only the real parts: at real s both factors
+# are real, so each new box must lie inside its old one, with im exactly 0,
+# and still contain zeta(s) L(s, chi_D).
+@pytest.mark.parametrize("D,prec", PRODUCT_CASES)
+def test_dedekind_product_is_real_and_inside_the_complex_product_box(D, prec):
+    new, old = PINS["dedekind_product"][f"D={D}@{prec}"], CMUL_PRODUCT_PINS[f"D={D}@{prec}"]
+    assert new[1] == (rd.ZERO, rd.ZERO)
+    for (lo, hi), (old_lo, old_hi) in zip(new, old):
+        assert rd.cmp(old_lo, lo) <= 0 and rd.cmp(hi, old_hi) <= 0
+    (lo, hi), _ = new
+    assert rd.to_fraction(lo) <= _product_value(D, prec) <= rd.to_fraction(hi)
 
 
 def _render(v) -> str:
@@ -178,10 +200,10 @@ PINS: dict = {
         'elementary(7,1)@2+3i@512': (((0x2835ff6841dd2e3fe4959dff21b4d8d5641967412ad1328de1a39af7c6325af1a2410bfcb501d6c351ac8a2e2f860db067f466d3102f0dd064539a583a1d5893, -509), (0xa51c41e54bb8fd43d69abc40cb17a799d4a9e148ef890e7bcad2b0235d0db00acd487437184b9f518af66cfd025c7b05e415df9085007b85d592ada52cb9a6cd, -511)), ((-0x2e891c145b1970d268cc87d069414522bb28cab552d2dba84768831c2f3fa9bb2d5b2a9c8ad21013c544478e6bb86adf9b11ed50cbb8002bac6a546d4687114b, -513), (-0x1d780b034a085fc157bb76bf58303411aa17b9a441c1ca973657720b1e2e98aa1c4a198b79c0ff02b433367d5aa759ce8a00dc3fbaa6ef1a9b59435c35760007, -513))),
     },
     'dedekind_product': {
-        'D=5@128': (((0x87e3b6e23fba57b351962524756f3e43, -127), (0x8861d2f4ca797a249e02f826ed592165, -127)), ((-0x7e1c128abf22b791bc11aafaaf7006ad, -136), (0x7e1c128abf22b791bc11aafaaf7006ad, -136))),
-        'D=13@128': (((0x4bb77001ccecb36e040a9a37aa155523, -126), (0x97ecfc1624989a9fdc550c88eecbf929, -127)), ((-0xfc3825157e6814331e2d843acdb780d5, -137), (0xfc3825157e6814331e2d843acdb780d5, -137))),
-        'D=5@512': (((0x87e3b6e23fba57b351962524756f3e5cfc3a4191ea8fa8ea7bed719b5782140e785f1798cbd14f37a3659d13ca04403339759ccc7cc8f1290e20a131533815a1, -511), (0x8861d2f4ca797a249e02f826ed59214c05fc433f679298ced7dbf8d0f508cf221c53eb42dd52303216d64d8353cd627fcee0b5885a956e303f46404ba7267c77, -511)), ((-0x3f0e09455f915bc8de08d57d57b80351c1d5bbd4350248df13a467517c2cbe48d829d77d0538922bf271aff95c8cd97d9b623c5b05f4f9145b711189fcddeec3, -519), (0x3f0e09455f915bc8de08d57d57b80351c1d5bbd4350248df13a467517c2cbe48d829d77d0538922bf271aff95c8cd97d9b623c5b05f4f9145b711189fcddeec3, -519))),
-        'D=13@512': (((0x976ee00399d966dc0815346f542aaa636ab06e5a851c2e765d5bb11491bd984b6bf864a9f35b261d030e2887101e65884a6f4a436eb75093f9a5b6ea0a28899, -507), (0x97ecfc1624989a9fdc550c88eecbf90c31c0cb1b3a007e78920eb8f81ee6ad2e19c73ada46dfc0b5dd237b2e9996d86a8e645805f07d901ba485cc1e210bbf53, -511)), ((-0xfc3825157e6814331e2d843acdb780c1a40d15c096c95f2dd792f9253566973714ac6a781c55857d130b2fe4d0d491538172feb40b58e544e2b079addd158739, -521), (0xfc3825157e6814331e2d843acdb780c1a40d15c096c95f2dd792f9253566973714ac6a781c55857d130b2fe4d0d491538172feb40b58e544e2b079addd158739, -521))),
+        'D=5@128': (((0x87e3b6e23fba57d6743dc478b6d204cf, -127), (0x8861d2f4ca797a017b5b58d2abf65ad9, -127)), ((0x0, 0), (0x0, 0))),
+        'D=13@128': (((0x4bb77001ccecb37f955e69e1cac6b869, -126), (0x97ecfc1624989a7cb9ad6d34ad69329d, -127)), ((0x0, 0), (0x0, 0))),
+        'D=5@512': (((0x87e3b6e23fba57d6743dc478b6d204e8c91b1677004333412d09d267da3ae342ef3cd79b4016174c959fb68bfe7c3be66c5b72aae8e8a79e89e942b5b33dc03f, -511), (0x8861d2f4ca797a017b5b58d2abf65ac0391b6e5a51df0e7826bf9804724fffeda5762b40690d681d249c340b1f5566cc9bfadfa9ee75b7bac37d9ec74720d1d9, -511)), ((0x0, 0), (0x0, 0))),
+        'D=13@512': (((0x4bb77001ccecb37f955e69e1cac6b8779bc8a19fcd67dc66873c08f08a3b33bff16b125633cff718faa420ffa24b309dbeaa9010ed6b8384bab72c3735171a17, -510), (0x97ecfc1624989a7cb9ad6d34ad69328064dff636244cf421e0f2582b9c2dddf9a2e97ad7d29af8a0eae961b6651edcb75b7e8227845dd9a628bd2a99c10614b5, -511)), ((0x0, 0), (0x0, 0))),
     },
     'dedekind_direct': {
         'D=5@2@128': ((((0x7036de6b2a8429f762773c91229b3b89, -127), (0xb89f3fb32810522c530fda0c1e52bb2d, -127)), ((-0x121a1851ff630a0d3c26275ebeeddfdd, -126), (0x121a1851ff630a0d3c26275ebeeddfdd, -126))), (0x121a1851ff630a0d3c26275ebeeddfdd, -126)),
@@ -259,5 +281,14 @@ EM_LOOP_PINS: dict = {
     'D=13@128': (((0x976ee00399d966dc0815346f542c48db, -127), (0x25fb3f05892626a7f71543223bb2964f, -125)), ((-0x7e1c128abf340a198f16c21d639be485, -136), (0x7e1c128abf340a198f16c21d639be485, -136))),
     'D=5@512': (((0x87e3b6e23fba57b3519625247570b2760fb808e4766f31c6e325e040b721a532e99bba725cbf9e2165fd76d39b6bf98300beaf41f85079f8a1c312f77f10a091, -511), (0x110c3a5e994f2f4493c05f04ddaaf57b481dcbe63bd8270bd5f0a3a8e69e1e7b41eb0ead10259328f3762c5fbf8e6df6626a917762a4e1a0ed3ab8906af9454d, -508)), ((-0x1f8704a2afc8ade46f046abeab2148c659f8d725b1d0ec5b5e646ec8b228bb1dee59fe906fd0d3d866c39551014d0661079c378acbc9e81f757aa49d5045f06f, -518), (0x1f8704a2afc8ade46f046abeab2148c659f8d725b1d0ec5b5e646ec8b228bb1dee59fe906fd0d3d866c39551014d0661079c378acbc9e81f757aa49d5045f06f, -518))),
     'D=13@512': (((0x25dbb800e67659b702054d1bd50b123e2b032c4698de81fd29ef838ee2d6e58b4b5bf7c527aacaf2c8549221d58c5a4415fe39899fe7701ad08a203248747f23, -509), (0x97ecfc1624989a9fdc550c88eeca591e3ed46ba05eb0cd66868deeecc4d06528bc90ed6ed058730706524a68cd919b658c97a4cb15b047eb1a34f83ce5de8539, -511)), ((-0xfc3825157e6814331e2d843ac737c8f5f28f2a53580516ffd46acbbcdc4681c23b76bc9dff1eca21ce4818b4bbe07d4c4ea61348d638231b9f60f4c1282d1fd1, -521), (0xfc3825157e6814331e2d843ac737c8f5f28f2a53580516ffd46acbbcdc4681c23b76bc9dff1eca21ce4818b4bbe07d4c4ea61348d638231b9f60f4c1282d1fd1, -521))),
+}
+
+# product-mode boxes from when the zeta and L boxes were multiplied as complex
+# boxes, imaginary parts included
+CMUL_PRODUCT_PINS: dict = {
+    'D=5@128': (((0x87e3b6e23fba57b351962524756f3e43, -127), (0x8861d2f4ca797a249e02f826ed592165, -127)), ((-0x7e1c128abf22b791bc11aafaaf7006ad, -136), (0x7e1c128abf22b791bc11aafaaf7006ad, -136))),
+    'D=13@128': (((0x4bb77001ccecb36e040a9a37aa155523, -126), (0x97ecfc1624989a9fdc550c88eecbf929, -127)), ((-0xfc3825157e6814331e2d843acdb780d5, -137), (0xfc3825157e6814331e2d843acdb780d5, -137))),
+    'D=5@512': (((0x87e3b6e23fba57b351962524756f3e5cfc3a4191ea8fa8ea7bed719b5782140e785f1798cbd14f37a3659d13ca04403339759ccc7cc8f1290e20a131533815a1, -511), (0x8861d2f4ca797a249e02f826ed59214c05fc433f679298ced7dbf8d0f508cf221c53eb42dd52303216d64d8353cd627fcee0b5885a956e303f46404ba7267c77, -511)), ((-0x3f0e09455f915bc8de08d57d57b80351c1d5bbd4350248df13a467517c2cbe48d829d77d0538922bf271aff95c8cd97d9b623c5b05f4f9145b711189fcddeec3, -519), (0x3f0e09455f915bc8de08d57d57b80351c1d5bbd4350248df13a467517c2cbe48d829d77d0538922bf271aff95c8cd97d9b623c5b05f4f9145b711189fcddeec3, -519))),
+    'D=13@512': (((0x976ee00399d966dc0815346f542aaa636ab06e5a851c2e765d5bb11491bd984b6bf864a9f35b261d030e2887101e65884a6f4a436eb75093f9a5b6ea0a28899, -507), (0x97ecfc1624989a9fdc550c88eecbf90c31c0cb1b3a007e78920eb8f81ee6ad2e19c73ada46dfc0b5dd237b2e9996d86a8e645805f07d901ba485cc1e210bbf53, -511)), ((-0xfc3825157e6814331e2d843acdb780c1a40d15c096c95f2dd792f9253566973714ac6a781c55857d130b2fe4d0d491538172feb40b58e544e2b079addd158739, -521), (0xfc3825157e6814331e2d843acdb780c1a40d15c096c95f2dd792f9253566973714ac6a781c55857d130b2fe4d0d491538172feb40b58e544e2b079addd158739, -521))),
 }
 # fmt: on

@@ -70,6 +70,12 @@ def test_invariants_output(capsys):
     assert "disc = -11" in out and "j = -4096/11" in out
 
 
+def test_invariants_print_an_integral_j_without_a_denominator(capsys):
+    code, out, _ = run(capsys, "elliptic", "--coeffs", "0,0,0,1,0", "--invariants")
+    assert code == 0
+    assert "; j = 1728\n" in out
+
+
 def test_local_zeta_output(capsys):
     code, out, _ = run(capsys, "--json", "elliptic", "--coeffs", "0,0,0,0,1", "--local", "5", "--s", "2")
     payload = json.loads(out)

@@ -276,16 +276,15 @@ def test_quarter_turn_product_is_cmul_by_exact_unit(prec):
         z = ComplexBox(re, im)
         cache: dict = {}
         assert _times_chi(chi, n, e, z, cache, pctx) == pctx.cmul(char_value(chi, n, pctx), z)
-        assert not cache  # quarter turns never build an enclosure of chi(n)
 
     check()
 
 
 def test_times_chi_caches_generic_values_by_exponent():
-    chi = make_elementary(7, 1)  # order 6: e = 1, 2, 4, 5 are not quarter turns
+    chi = make_elementary(7, 1)  # order 6: n = 1..6 meet every exponent once
     z = ctx.box(Fraction(1, 3), Fraction(-2, 5))
     cache: dict = {}
     for n in range(1, 7):
         e = chi.exponent(n)
         assert _times_chi(chi, n, e, z, cache, ctx) == ctx.cmul(char_value(chi, n, ctx), z)
-    assert sorted(cache) == [1, 2, 4, 5]
+    assert sorted(cache) == [0, 1, 2, 3, 4, 5]

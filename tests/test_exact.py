@@ -157,8 +157,19 @@ def test_is_prime_brute():
 
 
 def test_squarefree():
-    assert is_squarefree(10) and is_squarefree(1)
-    assert not is_squarefree(12) and not is_squarefree(0)
+    def brute(n):
+        return n >= 1 and all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+
+    for n in range(-3, 3001):
+        assert is_squarefree(n) == brute(n)
+    # the largest prime below 10**12, and the square of the largest below 10**6
+    assert is_squarefree(999_999_999_989)
+    assert not is_squarefree(999_983**2)
+
+
+def test_divisors_brute():
+    for n in range(1, 501):
+        assert sorted(exact._divisors(n)) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_quadratic_discriminant_cases():

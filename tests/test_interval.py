@@ -60,6 +60,12 @@ def test_endpoint_order_enforced():
         ctx.interval(2, 1)
 
 
+def test_precision_below_a_double_is_refused():
+    PrecisionContext(53)
+    with pytest.raises(ValueError):
+        PrecisionContext(52)
+
+
 def _rand_interval(rng, scale=8):
     a = Fraction(rng.randint(-scale * 100, scale * 100), rng.randint(1, 97))
     b = Fraction(rng.randint(-scale * 100, scale * 100), rng.randint(1, 97))

@@ -102,7 +102,7 @@ def _ring_calls(counts, run) -> tuple[int, int, int]:
 
 
 def test_sin_cos_point_sums_its_series_on_integers(counts):
-    inner = ctx.with_precision(ctx.prec + fn._GUARD)
+    inner = PrecisionContext(ctx.prec + fn._GUARD)
     v = ctx.interval(Fraction(7, 3)).lo
     fn._sin_cos_point(v, inner)  # fills the pi cache
     mul, div, rounds = _ring_calls(counts, lambda: fn._reduce(v, inner))
@@ -113,7 +113,7 @@ def test_sin_cos_point_sums_its_series_on_integers(counts):
 
 def test_log_point_sums_its_series_on_integers(counts):
     # 5/4 = u 2**0 with u in [~0.707, ~1.414): no n log 2 term
-    inner = ctx.with_precision(ctx.prec + fn._GUARD)
+    inner = PrecisionContext(ctx.prec + fn._GUARD)
     assert _ring_calls(counts, lambda: fn._log_point((5, -2), inner)) == (0, 0, 2)
 
 
@@ -121,7 +121,7 @@ def test_constants_and_atan_sum_their_series_on_integers(counts, monkeypatch):
     # a cold pi and ln2 fill, and atan at 0.2 <= 1/4 (no reflection, no
     # halving step), make no ring mul or div
     monkeypatch.setattr(fn, "_ref_cache", {})
-    inner = ctx.with_precision(ctx.prec + fn._GUARD)
+    inner = PrecisionContext(ctx.prec + fn._GUARD)
     v = ctx.interval(Fraction(1, 5)).lo
     for run in (lambda: fn.pi(ctx), lambda: fn.ln2(ctx), lambda: fn._atan_point(v, inner)):
         assert _ring_calls(counts, run)[:2] == (0, 0)

@@ -78,7 +78,7 @@ def test_exp_of_a_narrow_box(prec, centre, depth, steps):
     got = fn.exp(x, ctx)
     # the endpoint path, at exp's own guard precision
     k_guess = max(0, _top(x.lo), _top(x.hi))
-    inner = ctx.with_precision(prec + fn._GUARD + k_guess + 8)
+    inner = PrecisionContext(prec + fn._GUARD + k_guess + 8)
     hull = _hull(fn._exp_point(x.lo, inner), fn._exp_point(x.hi, inner), ctx)
     _check(got, hull, _refs(mpmath.exp, x, prec), ctx)
 
@@ -90,7 +90,7 @@ def test_sin_and_cos_of_a_narrow_box(prec, centre, depth, steps):
     ctx = PrecisionContext(prec)
     x = _narrow_box(ctx, centre, depth, steps)
     got_sin, got_cos = fn.sin_cos(x, ctx)
-    inner = ctx.with_precision(prec + fn._GUARD)
+    inner = PrecisionContext(prec + fn._GUARD)
     (sa, ca), (sb, cb) = fn._sin_cos_point(x.lo, inner), fn._sin_cos_point(x.hi, inner)
     _check(got_sin, _hull(sa, sb, ctx), _refs(mpmath.sin, x, prec), ctx)
     _check(got_cos, _hull(ca, cb, ctx), _refs(mpmath.cos, x, prec), ctx)
@@ -189,7 +189,7 @@ def test_sin_and_cos_of_a_wide_box(prec, centre, depth, steps):
     x = ctx.interval(c - w / 2, c + w / 2)
     assert not fn._narrow(fn._mid_rad(x, 2 * prec)[1], ctx)
     got_sin, got_cos = fn.sin_cos(x, ctx)
-    inner = ctx.with_precision(prec + fn._GUARD)
+    inner = PrecisionContext(prec + fn._GUARD)
     (sa, ca), (sb, cb) = fn._sin_cos_point(x.lo, inner), fn._sin_cos_point(x.hi, inner)
     with mpmath.workprec(2 * prec + 32 + 64):
         quarter = mpmath.pi / 2

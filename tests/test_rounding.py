@@ -125,6 +125,38 @@ def test_to_decimal_carry():
     assert Fraction(Decimal(s)) >= rd.to_fraction(x)
 
 
+def _ulp_neighbours(x: rd.MPF, prec: int) -> list[rd.MPF]:
+    """x and the prec-bit floats one ulp below and above it, for x > 0."""
+    m, e = x
+    shift = prec - m.bit_length()
+    m, e = m << shift, e - shift
+    return [rd.normalize(m - 1, e), x, rd.normalize(m + 1, e)]
+
+
+def test_to_decimal_exponent_at_powers_of_ten():
+    # the exponent search starts from the upper integer bound and steps down,
+    # so pin it where |x| crosses a power of ten: at 10**k (the two 64-bit
+    # floats around it when it is not a float) and one ulp either side
+    digits = 5
+    for k in range(-300, 301):
+        p10 = Fraction(10) ** k
+        ends = {rd.from_fraction(p10, 64, rnd) for rnd in (rd.FLOOR, rd.CEIL)}
+        for x in {y for end in ends for y in _ulp_neighbours(end, 64)}:
+            fx = rd.to_fraction(x)
+            E = k if fx >= p10 else k - 1  # 10**E <= x < 10**(E+1)
+            for sign in (1, -1):
+                for rnd in (rd.FLOOR, rd.CEIL):
+                    out = rd.to_decimal((sign * x[0], x[1]), digits, rnd)
+                    v = Fraction(Decimal(out))
+                    away = (rnd == rd.CEIL) == (sign > 0)
+                    assert (abs(v) >= fx) if away else (abs(v) <= fx)
+                    assert abs(abs(v) - fx) < Fraction(10) ** (E - digits + 1)
+                    # only a carry to the next power of ten moves the exponent
+                    printed = int(out.split("e")[1])
+                    if printed != E:
+                        assert away and printed == E + 1 and abs(v) == Fraction(10) ** printed
+
+
 def _decimal_parts(s: str) -> tuple[int, int]:
     """(digits, exponent) with s = digits * 10**exponent, without building 10**exponent."""
     m = re.fullmatch(r"(-?\d)(?:\.(\d+))?e([+-]\d+)", s)
