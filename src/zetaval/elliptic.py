@@ -18,13 +18,21 @@ factors over p <= N.  At an integer s = k >= 0 each factor is the exact
 rational q^2 / (q^2 - t_p q + p), or q / (q - t_p) at a bad prime, with
 q = p^k, rounded outward once, while q has at most 4096 bits; at any other s
 it is 1 / (1 - t_p x + p x^2) with x = exp(-s log p).  A two-sided tail
-factor [exp(-B), exp(B)] follows, with
+factor [exp(-B), exp(B)] follows, with sigma = s.lo, a = sigma - 1/2 and
+u = N^(1/2-sigma):
 
-    B = 2 N^(3/2-sigma) / ((sigma-3/2)(1-2^(1/2-sigma))),
+    B = 2 S / (1 - u),
+    S = min(N^(3/2-sigma) / (sigma-3/2),
+            C a N^(3/2-sigma) / ((a-1) ln N) - pi(N) u),   C = 1.25506.
 
-which comes from |t_p| <= 2 sqrt(p): each log-factor is at most
--2 log(1 - p^(1/2-sigma)) <= 2 p^(1/2-sigma)/(1-2^(1/2-sigma)), summed by
-integral comparison.  Bad-prime factors (|t_p| <= 1) obey the same bound.
+From |t_p| <= 2 sqrt(p), each log-factor at p > N is at most
+-2 log(1 - p^(1/2-sigma)) <= 2 p^(1/2-sigma) / (1 - u), since
+-log(1 - v) <= v / (1 - v) and p^(1/2-sigma) < u.  Bad-prime factors
+(|t_p| <= 1) obey the same bound.  S bounds the sum of p^-a over p > N in two
+ways: over every integer n > N by integral comparison, or over primes only by
+partial summation, sum f(p) = -pi(N) f(N) + int_N^oo pi(t) (-f'(t)) dt, with
+pi(t) < C t / ln t for t > 1 (Rosser and Schoenfeld, Illinois J. Math. 6
+(1962), (3.6)) and 1 / ln t <= 1 / ln N on t >= N.
 """
 
 from __future__ import annotations
@@ -45,6 +53,8 @@ from .zeta import Enclosure
 # call at s = 2 takes about 21 s on a 2-core VM, 17 s of it counting points,
 # and 37 MB
 _PRIMES_TO_CAP = 10**6
+# pi(t) < _PI_BOUND t / ln t for t > 1 (Rosser and Schoenfeld 1962, (3.6))
+_PI_BOUND = Fraction(125506, 100000)
 
 
 @dataclass(frozen=True)
@@ -183,6 +193,26 @@ def local_zeta(
     )
 
 
+def _prime_tail(
+    sigma: rd.MPF, n: int, pi_n: int, ctx: PrecisionContext
+) -> tuple[RealInterval, RealInterval]:
+    """S, whose upper end bounds the sum of p^(1/2-sigma) over primes p > n,
+    and u = n^(1/2-sigma) (module docstring), given the count pi_n of primes
+    p <= n; needs sigma > 3/2 and n >= 3."""
+    sigma_i = RealInterval(sigma, sigma)
+    a_1 = ctx.sub(sigma_i, ctx.interval(Fraction(3, 2)))
+    log_n = fn.log(ctx.interval(n), ctx)
+    n_pow = fn.exp(ctx.mul(ctx.sub(ctx.interval(Fraction(3, 2)), sigma_i), log_n), ctx)
+    u = ctx.div(n_pow, ctx.interval(n))
+    integers = ctx.div(n_pow, a_1)
+    a = ctx.sub(sigma_i, ctx.interval(Fraction(1, 2)))
+    primes = ctx.sub(
+        ctx.div(ctx.mul(ctx.mul(ctx.interval(_PI_BOUND), a), n_pow), ctx.mul(a_1, log_n)),
+        ctx.mul(ctx.interval(pi_n), u),
+    )
+    return (integers if rd.cmp(integers.hi, primes.hi) <= 0 else primes), u
+
+
 def hasse_weil_partial(
     curve: WeierstrassCurve,
     s: RealInterval,
@@ -208,21 +238,9 @@ def hasse_weil_partial(
     for p, a_p in zip(primes, counts):  # ascending, pinned for reproducible endpoints
         acc = ctx.mul(acc, _euler_factor(_reduction(curve, p, a_p), s, ctx))
 
-    # tail: log-product bound B, then the factor lies in [e^-B, e^B]
-    sigma_lo = RealInterval(s.lo, s.lo)
-    log_n = fn.log(ctx.interval(primes_to), ctx)
-    n_pow = fn.exp(ctx.mul(ctx.sub(ctx.interval(Fraction(3, 2)), sigma_lo), log_n), ctx)
-    two_pow = fn.exp(
-        ctx.mul(ctx.sub(ctx.interval(Fraction(1, 2)), sigma_lo), fn.ln2(ctx)), ctx
-    )
-    b_bound = ctx.div(
-        ctx.scale_2exp(n_pow, 1),
-        ctx.mul(
-            ctx.sub(sigma_lo, ctx.interval(Fraction(3, 2))),
-            ctx.sub(ctx.one(), two_pow),
-        ),
-    )
-    b_up = b_bound.hi
+    # tail: log-product bound B = 2 S / (1 - u), then the factor lies in [e^-B, e^B]
+    tail_sum, u = _prime_tail(s.lo, primes_to, len(primes), ctx)
+    b_up = ctx.div(ctx.scale_2exp(tail_sum, 1), ctx.sub(ctx.one(), u)).hi
     tail = fn.exp(RealInterval(rd.neg(b_up), b_up), ctx)
     return Enclosure(
         value=ComplexBox(ctx.mul(acc, tail), ctx.zero()),

@@ -1,5 +1,6 @@
 """Curve invariants, reduction data, local factors, and the partial product."""
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -250,6 +251,39 @@ def test_hasse_weil_tail_bound_value():
     e = derive_quantities(*CURVE_11A3)
     enc = hasse_weil_partial(e, ctx.interval(2), 100, ctx)
     assert enc.remainder_float() <= 0.62
+
+
+def test_hasse_weil_tail_sums_over_primes_only():
+    # the integer tail gave B = 0.1957 here; the box must still meet a far
+    # longer product's
+    e = derive_quantities(*CURVE_11A3)
+    enc = hasse_weil_partial(e, ctx.interval(2), 1000, ctx)
+    assert enc.remainder_float() <= 0.025
+    assert enc.value.re.intersects(hasse_weil_partial(e, ctx.interval(2), 30000, ctx).value.re)
+
+
+@pytest.mark.parametrize("sigma", (Fraction(31, 20), Fraction(2), Fraction(5, 2), Fraction(3)))
+def test_prime_tail_bounds_the_sum_over_primes(sigma):
+    primes = primes_up_to(10**6)
+    sigma_lo = ctx.interval(sigma).lo
+    with mpmath.workprec(80):
+        sig = rd.to_fraction(sigma_lo)
+        a = mpmath.mpf(sig.numerator) / sig.denominator - mpmath.mpf(1) / 2
+        terms = [mpmath.mpf(p) ** -a for p in primes]
+        for n in (3, 10, 100, 1000):
+            pi_n = bisect.bisect_right(primes, n)
+            tail, _ = elliptic._prime_tail(sigma_lo, n, pi_n, ctx)
+            s_up = rd.to_fraction(tail.hi)
+            # S bounds the sum over n < p <= 1e6, rounded down by 2^-40
+            assert s_up >= rd.to_fraction(mpmath.fsum(terms[pi_n:]).man_exp) * (1 - Fraction(1, 2**40))
+            # S is the smaller of the integer bound and the prime bound
+            integers = mpmath.mpf(n) ** (1 - a) / (a - 1)
+            prime_bound = (mpmath.mpf(125506) / 100000 * a * mpmath.mpf(n) ** (1 - a)
+                           / ((a - 1) * mpmath.log(n)) - pi_n * mpmath.mpf(n) ** -a)
+            best = rd.to_fraction(min(integers, prime_bound).man_exp)
+            assert abs(s_up - best) <= best / 2**60
+            if n == 3:
+                assert integers < prime_bound
 
 
 def test_hasse_weil_preconditions():
