@@ -6,9 +6,19 @@ with chi the Kronecker character of the field discriminant, and
     zeta_K(s) = sum_n r_K(n) n^-s = zeta(s) * L(s, chi).
 
 Both routes are implemented: ``product`` multiplies the Euler-Maclaurin zeta
-box by the truncated L-series box; ``direct`` sums r_K(n) n^-s and bounds the
-tail by r_K(n) <= sigma_0(n) <= 2 sqrt(n), which needs sigma > 3/2.  The two
-must intersect, and the tests use that as an oracle-equivalence check.
+box by the truncated L-series box; ``direct`` sums r_K(n) n^-s over n <= N, at
+real s > 3/2.  Since 0 <= r_K(n) <= d(n) = sigma_0(n), its tail at sigma =
+s.lo is at most the smaller of
+
+    2 N^(3/2-sigma)/(sigma-3/2),                        by d(n) <= 2 sqrt(n),
+    sigma N^(1-sigma) [(ln N + 1)/(sigma-1) + 1/(sigma-1)^2] - D(N) N^-sigma.
+
+The second is partial summation against D(t) = sum_{n<=t} d(n) <= t (ln t + 1):
+sum_{n>N} d(n) n^-sigma = -D(N) N^-sigma + sigma int_N^oo D(t) t^(-sigma-1) dt,
+with D(N) = 2 sum_{k<=sqrt(N)} floor(N/k) - floor(sqrt(N))^2 exact (Dirichlet's
+hyperbola method).  Both powers of N come from the first bound's one exp and
+log.  The two routes must intersect, and the tests use that as an
+oracle-equivalence check.
 
 Siegel's formula gives the exact rational
 
@@ -19,6 +29,7 @@ for prime p = 1 (mod 4); the Hilbert modular orbifold volume is twice that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,6 +94,12 @@ def ideal_count(K: RealQuadraticField, n: int) -> int:
     return sum(kronecker(delta, d) for d in _divisors(n))
 
 
+def _divisor_summatory(N: int) -> int:
+    """D(N) = sum_{n<=N} sigma_0(n) = 2 sum_{k<=sqrt(N)} floor(N/k) - floor(sqrt(N))^2."""
+    r = math.isqrt(N)
+    return 2 * sum(N // k for k in range(1, r + 1)) - r * r
+
+
 def dedekind_enclosure(
     K: RealQuadraticField,
     s: RealInterval,
@@ -118,17 +135,31 @@ def dedekind_enclosure(
 
     N = params.direct_terms
     table = fn.NegPowerTable(N, s_box, ctx)
-    total = ctx.box(0)
+    # at real s every n^-s is real, so the sum lies in the real parts
+    total = ctx.zero()
     for n in range(1, N + 1):
         r = ideal_count(K, n)
         if r:
-            total = ctx.cadd(total, ctx.cmul(ctx.box(r), table[n]))
+            total = ctx.add(total, ctx.mul(ctx.interval(r), table[n].re))
 
-    # r_K(n) <= sigma_0(n) <= 2 sqrt(n), so the tail is below
-    # 2 sum_{n>N} n^(1/2-sigma) <= 2 N^(3/2-sigma)/(sigma-3/2)
-    radius = rd.mul_2exp(_power_tail(N, Fraction(3, 2), s.lo, ctx), 1)
+    sigma = RealInterval(s.lo, s.lo)
+    trivial, power, log_n = _power_tail(N, Fraction(3, 2), sigma, ctx)
+    # r_K(n) <= sigma_0(n) <= 2 sqrt(n): the tail is at most 2 N^(3/2-sigma)/(sigma-3/2)
+    radius = rd.mul_2exp(trivial.hi, 1)
+    # or, by partial summation against D(t) <= t (ln t + 1), at most
+    # sigma N^(1-sigma) [(ln N + 1)/(sigma-1) + 1/(sigma-1)^2] - D(N) N^-sigma
+    n_iv = ctx.interval(N)
+    power_1 = ctx.div(power, ctx.sqrt(n_iv))  # N^(1-sigma)
+    a = ctx.sub(sigma, ctx.one())
+    bracket = ctx.add(ctx.div(ctx.add(log_n, ctx.one()), a), ctx.div(ctx.one(), ctx.sq(a)))
+    abel = ctx.sub(
+        ctx.mul(ctx.mul(sigma, power_1), bracket),
+        ctx.mul(ctx.interval(_divisor_summatory(N)), ctx.div(power_1, n_iv)),
+    )
+    if rd.cmp(abel.hi, radius) < 0:
+        radius = abel.hi
     return Enclosure(
-        value=ctx.cwiden(total, radius),
+        value=ComplexBox(ctx.widen(total, radius), ctx.zero()),
         params=params,
         remainder_radius=radius,
         prec=ctx.prec,

@@ -24,6 +24,20 @@ x <= 34 (E1) and x <= 6 (erfc).
 
 E1 enclosures bottom out near 1e-50 width: the Euler-Mascheroni constant is a
 stored 50-digit bracket.
+
+``l_truncated`` sums chi(n) n^-s over n <= N and widens the sum by the smaller
+of two tail bounds, with sigma = Re(s).lo.  The trivial one takes every
+|chi(n)| as 1: sum_{n>N} n^-sigma <= N^(1-sigma)/(sigma-1).  When q <= N, the
+sum has read chi over a full period, which says whether chi is principal and
+counts its phi(q) nonzero values.  For nonprincipal chi the values sum to 0
+over each period, so A(t) = sum_{n<=t} chi(n) is the sum over a partial period
+and minus the sum over the rest of it: |A(t)| <= phi(q)/2.  Abel summation
+(Apostol, *Introduction to Analytic Number Theory*, Thm 4.2) then gives
+
+    sum_{n>N} chi(n) n^-s = -A(N) N^-s + s int_N^oo A(t) t^(-s-1) dt,
+    |sum_{n>N} chi(n) n^-s| <= (phi(q)/2) N^-sigma (1 + |s|/sigma),
+
+with N^-sigma = N^(1-sigma)/N from the trivial bound's one exp and log.
 """
 
 from __future__ import annotations
@@ -211,12 +225,15 @@ def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
     )
 
 
-def _power_tail(N: int, c: int | Fraction, sigma_lo: rd.MPF, ctx: PrecisionContext) -> rd.MPF:
-    """Upper end of N^(c-sigma)/(sigma-c) >= sum_{n>N} n^(c-1-sigma), at sigma = sigma_lo > c."""
-    sigma = RealInterval(sigma_lo, sigma_lo)
+def _power_tail(
+    N: int, c: int | Fraction, sigma: RealInterval, ctx: PrecisionContext
+) -> tuple[RealInterval, RealInterval, RealInterval]:
+    """T = N^(c-sigma)/(sigma-c) >= sum_{n>N} n^(c-1-sigma) at a point sigma > c,
+    with the power N^(c-sigma) and log N that partial-summation bounds reuse."""
     c_iv = ctx.interval(c)
-    power = fn.exp(ctx.mul(ctx.sub(c_iv, sigma), fn.log(ctx.interval(N), ctx)), ctx)
-    return ctx.div(power, ctx.sub(sigma, c_iv)).hi
+    log_n = fn.log(ctx.interval(N), ctx)
+    power = fn.exp(ctx.mul(ctx.sub(c_iv, sigma), log_n), ctx)
+    return ctx.div(power, ctx.sub(sigma, c_iv)), power, log_n
 
 
 def _times_chi(
@@ -236,7 +253,8 @@ def _times_chi(
 def l_truncated(
     chi: DirichletCharacter, s: ComplexBox, N: int, ctx: PrecisionContext
 ) -> Enclosure:
-    """First N terms of L(s, chi) plus the trivial tail disc, for Re(s) > 1."""
+    """First N terms of L(s, chi) plus a tail disc, for Re(s) > 1: the smaller
+    of the trivial and, for nonprincipal chi mod q <= N, the Abel bound."""
     if N < 2:
         raise DomainError("need N >= 2")
     if rd.cmp(s.re.lo, rd.ONE) <= 0:
@@ -244,16 +262,32 @@ def l_truncated(
     table = fn.NegPowerTable(N, s, ctx)
     total = ctx.box(0)
     value_cache: dict[int, ComplexBox] = {}
+    q = chi.modulus
+    period: list[int | None] = []  # exponents on 1..min(q, N)
     for n in range(1, N + 1):
         e = chi.exponent(n)
+        if n <= q:
+            period.append(e)
         if e is not None:
             total = ctx.cadd(total, _times_chi(chi, n, e, table[n], value_cache, ctx))
 
     # |sum_{n>N} chi(n) n^-s| <= sum_{n>N} n^-sigma <= N^(1-sigma)/(sigma-1)
-    radius = _power_tail(N, 1, s.re.lo, ctx)
+    sigma = RealInterval(s.re.lo, s.re.lo)
+    trivial, power, _ = _power_tail(N, 1, sigma, ctx)
+    radius = trivial.hi
+    if q <= N and any(period):  # some exponent is nonzero: chi is nonprincipal
+        # |A(t)| <= phi(q)/2, so the tail is at most phi(q)/2 N^-sigma (1 + |s|/sigma)
+        units = sum(e is not None for e in period)
+        abs_s = ctx.cabs_upper(s)
+        abel = ctx.mul(
+            ctx.mul(ctx.interval(Fraction(units, 2)), ctx.div(power, ctx.interval(N))),
+            ctx.add(ctx.one(), ctx.div(RealInterval(abs_s, abs_s), sigma)),
+        )
+        if rd.cmp(abel.hi, radius) < 0:
+            radius = abel.hi
     return Enclosure(
         value=ctx.cwiden(total, radius),
-        params={"N": N, "modulus": chi.modulus},
+        params={"N": N, "modulus": q},
         remainder_radius=radius,
         prec=ctx.prec,
     )

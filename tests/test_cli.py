@@ -113,14 +113,48 @@ def test_zeta_special(capsys):
     assert code == 0 and "1/6" in out
 
 
+def _remainder(out: str) -> Fraction:
+    return Fraction(Decimal(json.loads(out)["remainder"]))
+
+
 def test_dedekind_subcommand(capsys):
     code, out, _ = run(capsys, "dedekind", "--d", "5", "--s", "2", "--mode", "product")
     assert code == 0 and "re in [" in out
+    # the divisor-bound tail alone gave a remainder of 7.97 here
+    code, out, _ = run(capsys, "--json", "dedekind", "--d", "5", "--s", "1.6", "--mode", "direct")
+    assert code == 0 and _remainder(out) < Fraction(1, 5)
 
 
 def test_ldir_subcommand(capsys):
     code, out, _ = run(capsys, "ldir", "--char", "5,2", "--s", "2", "--N", "500")
     assert code == 0 and "re in [" in out
+    # the trivial tail alone gave remainders of 9.94e2 and 1.01e-3 here
+    code, out, _ = run(capsys, "--json", "ldir", "--char", "5,1", "--s", "1.001", "--N", "1000")
+    assert code == 0 and _remainder(out) < Fraction(1, 100)
+    code, out, _ = run(capsys, "--json", "ldir", "--char", "11,3", "--s", "2", "--N", "1000")
+    assert code == 0 and _remainder(out) <= Fraction(2, 10**5)
+
+
+@pytest.mark.parametrize(
+    "char, re, im",
+    [
+        # principal: no Abel bound
+        ("5,4", ("1.561137370428371932411534343298018037653e+00",
+                 "1.581137370428371932411534343298018038091e+00"),
+         ("-1.000000000000000000000000000000000000024e-02",
+          "1.000000000000000000000000000000000000024e-02")),
+        # q > N: the period is not scanned
+        ("1009,1", ("1.259031728757357840327364279012997137585e+00",
+                    "1.279031728757357840327364279012997138199e+00"),
+         ("-2.447717944814301875257623659880123318452e-01",
+          "-2.247717944814301875257623659880123317485e-01")),
+    ],
+)
+def test_ldir_keeps_the_trivial_tail_where_no_abel_bound_applies(capsys, char, re, im):
+    code, out, _ = run(capsys, "--json", "ldir", "--char", char, "--s", "2", "--N", "100")
+    payload = json.loads(out)
+    assert code == 0 and payload["remainder"] == "1.01e-02"
+    assert payload["value"] == {"re": dict(zip(("lo", "hi"), re)), "im": dict(zip(("lo", "hi"), im))}
 
 
 def test_precision_flag_changes_width(capsys):

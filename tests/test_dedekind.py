@@ -3,7 +3,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaval.dedekind import (
     DedekindParams,
@@ -90,7 +93,24 @@ def test_product_and_direct_modes_intersect(delta, s):
     prod = dedekind_enclosure(K, ctx.interval(s), "product", params, ctx)
     direct = dedekind_enclosure(K, ctx.interval(s), "direct", params, ctx)
     assert prod.value.re.intersects(direct.value.re)
-    assert prod.value.im.contains(0) and direct.value.im.contains(0)
+    # at real s both modes return real boxes
+    assert prod.value.im == direct.value.im == ctx.zero()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5, 13, 15]), st.integers(1501, 4000), st.integers(2, 400))
+def test_direct_mode_radius_bounds_the_tail(D, sigma_milli, N):
+    K = RealQuadraticField.of(D)
+    sigma = Fraction(sigma_milli, 1000)
+    enc = dedekind_enclosure(K, ctx.interval(sigma), "direct", DedekindParams(direct_terms=N), ctx)
+    delta = K.discriminant.delta
+    with mpmath.workprec(3 * ctx.prec):
+        s = mpmath.mpf(sigma_milli) / 1000
+        chi = [kronecker(delta, n) if n else 0 for n in range(delta)]
+        head = mpmath.fsum(ideal_count(K, n) * mpmath.power(n, -s) for n in range(1, N + 1))
+        tail = mpmath.zeta(s) * mpmath.dirichlet(s, chi) - head
+        man, exp = enc.remainder_radius
+        assert tail <= mpmath.ldexp(man, exp), (D, sigma, N)
 
 
 def test_product_mode_width_at_s3():

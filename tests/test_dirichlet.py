@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -215,8 +215,9 @@ def test_l_one_rejects_bad_inputs():
 def test_l_truncated_tail_width_example():
     chi3 = make_elementary(3, 1)
     enc = l_truncated(chi3, ComplexBox(ctx.interval(3), ctx.zero()), 1000, ctx)
-    # trivial tail N^(1-sigma)/(sigma-1) = 1e-6/2 per side
-    assert enc.value.re.width_float() <= 2 * (1000 ** (-2) / 2) * 1.01
+    # Abel tail phi(3)/2 N^-sigma (1 + |s|/sigma) = 2e-9 per side, against the
+    # trivial N^(1-sigma)/(sigma-1) = 5e-7
+    assert enc.value.re.width_float() <= 2 * 2e-9 * 1.01
 
 
 def test_l_truncated_requires_sigma_above_one():
@@ -243,6 +244,43 @@ def test_l_truncated_complex_character_against_reference_sum():
     slack = 1e-3  # reference truncation slack
     assert lo_r - slack <= float(ref.real) <= hi_r + slack
     assert lo_i - slack <= float(ref.imag) <= hi_i + slack
+
+
+def _squarefree(D: int) -> bool:
+    return all(D % (k * k) for k in range(2, math.isqrt(D) + 1))
+
+
+# every nonprincipal character mod a prime 3..13, and the Kronecker characters
+# of discriminant at most 60
+_NONPRINCIPAL = [make_elementary(p, m) for p in (3, 5, 7, 11, 13) for m in range(1, p - 1)] + [
+    chi for chi in map(make_kronecker, filter(_squarefree, range(2, 61))) if chi.modulus <= 60
+]
+
+
+def _mp_values(chi) -> list:
+    """chi(0), ..., chi(q - 1) as mpmath numbers."""
+    return [0 if e is None else mpmath.expjpi(mpmath.mpf(2 * e) / chi.order)
+            for e in map(chi.exponent, range(chi.modulus))]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_NONPRINCIPAL), st.integers(1010, 4000), st.integers(-6000, 6000),
+       st.integers(2, 300))
+@example(make_elementary(3, 1), 1010, 6000, 6)  # about 3 M N^-sigma, M = phi(q)/2
+def test_l_truncated_radius_bounds_the_tail(chi, sigma_milli, t_centi, cut):
+    # the Abel tail is taken wherever q <= N, so N runs from q to 300; a
+    # small N with a large |t| is where the |s|/sigma factor is needed
+    q = chi.modulus
+    N = max(q, cut)
+    sigma, t = Fraction(sigma_milli, 1000), Fraction(t_centi, 100)
+    enc = l_truncated(chi, ctx.box(sigma, t), N, ctx)
+    with mpmath.workprec(3 * ctx.prec):
+        z = mpmath.mpc(mpmath.mpf(sigma_milli) / 1000, mpmath.mpf(t_centi) / 100)
+        values = _mp_values(chi)
+        head = mpmath.fsum(values[n % q] * mpmath.power(n, -z) for n in range(1, N + 1))
+        tail = abs(mpmath.dirichlet(z, values) - head)
+        man, exp = enc.remainder_radius
+        assert tail <= mpmath.ldexp(man, exp), (q, sigma, t, N)
 
 
 def test_kronecker_one_is_rejected():

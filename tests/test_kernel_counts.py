@@ -9,6 +9,8 @@ from zetaval import functions as fn
 from zetaval import kernels
 from zetaval import rounding as rd
 from zetaval.characters import char_value, make_elementary
+from zetaval.dedekind import DedekindParams, RealQuadraticField, dedekind_enclosure
+from zetaval.dirichlet import l_truncated
 from zetaval.elliptic import derive_quantities, hasse_weil_partial, trace
 from zetaval.errors import DomainError
 from zetaval.exact import primes_up_to
@@ -170,6 +172,23 @@ def test_zeta_em_bound_takes_no_working_precision_log_and_one_exp(monkeypatch):
     zeta_em(s, EMParams(32, 6), ctx)
     assert logs == [] and all(p < ctx.prec for p in log_points)
     assert len(exps) == len(primes_up_to(32)) + 1 and min(exps) == 64
+
+
+@pytest.mark.parametrize("run, N", [
+    (lambda: l_truncated(make_elementary(11, 3), ComplexBox(ctx.interval(Fraction(13, 4)), ctx.zero()),
+                         100, ctx), 100),
+    (lambda: dedekind_enclosure(RealQuadraticField.of(5), ctx.interval(Fraction(13, 4)), "direct",
+                                DedekindParams(direct_terms=200), ctx), 200),
+])
+def test_partial_summation_tails_take_no_exp_or_log_of_their_own(monkeypatch, run, N):
+    # the table takes one exp and one log per prime up to N, and the trivial
+    # tail one of each for N^(c-sigma); the Abel bounds reuse that power and log N
+    monkeypatch.setattr(fn, "_log_cache", {})
+    logs, exps = [], []
+    _recording(monkeypatch, fn, "log", lambda x, c: logs.append(1))
+    _recording(monkeypatch, fn, "exp", lambda x, c: exps.append(1))
+    run()
+    assert len(exps) == len(logs) == len(primes_up_to(N)) + 1
 
 
 def test_zeta_em_correction_takes_one_cmul_per_bernoulli_term(monkeypatch):

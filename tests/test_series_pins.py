@@ -252,6 +252,24 @@ def test_zeta_em_pin_contains_the_value_and_meets_the_loop_box():
         assert rd.to_fraction(hi) - rd.to_fraction(lo) <= old_width * (1 + Fraction(1, 2**56))
 
 
+# TRIVIAL_TAIL_PINS, at the end of the file, holds the l_truncated pin from
+# before its partial-summation tail.  The radius is the smaller of the old
+# bound and the new one, so the new box lies inside the old one, with a radius
+# no larger, and still contains L(5/2, chi).
+def test_l_truncated_pin_lies_inside_the_trivial_tail_box():
+    new, old = PINS["l_truncated"], TRIVIAL_TAIL_PINS["l_truncated"]
+    assert rd.cmp(new["radius"], old["radius"]) <= 0
+    chi = make_elementary(7, 1)
+    with mpmath.workprec(2 * 128 + 32):
+        values = [0 if e is None else mpmath.expjpi(mpmath.mpf(e) / 3)
+                  for e in map(chi.exponent, range(7))]
+        z = mpmath.dirichlet(mpmath.mpf(5) / 2, values)
+    for (lo, hi), (old_lo, old_hi), part in zip(new["value"], old["value"], (z.real, z.imag)):
+        assert rd.cmp(old_lo, lo) <= 0 and rd.cmp(hi, old_hi) <= 0
+        sign, man, e, _ = part._mpf_
+        assert rd.to_fraction(lo) <= Fraction(-man if sign else man) * Fraction(2) ** e <= rd.to_fraction(hi)
+
+
 def _render(v) -> str:
     if isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v):
         return f"({v[0]:#x}, {v[1]})"
@@ -442,8 +460,8 @@ PINS: dict = {
         'radius': (0x1c566fd280a41898b42afa029f088e01, -275),
     },
     'l_truncated': {
-        'value': (((0x1dbd31aaa21243fffb1b2d47194f8f6f, -125), (0xee0872301091141ea7c1c6a4f14e48bf, -128)), ((0xacf30b8de72d1ea09af737ac2a28cc7, -126), (0xad6e9ef9e728ef1bd698a95cc56fff4d, -130))),
-        'radius': (0xf726d7fff7a0f67742e361368e64afa7, -140),
+        'value': (((0xedf84dcf8ea61af7849b913bcb1a42eb, -128), (0x3b7e6c6d649f4649beffe7e87c2c2053, -126)), ((0x2b4b835df7df429fd27ff4ee0b27fa8f, -128), (0xad339d0feed9033d27900d50c2f8e181, -130))),
+        'radius': (0x58f980f5bf8bddd9039989658f6bed51, -143),
     },
     'raw_refs': {
         'pi@53': ((0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e485, -526), (0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f14374fe1356d6d51c245e487, -526)),
@@ -715,5 +733,17 @@ SERIES_PATH_PINS: dict = {
 # fmt: off
 EM_LOOP_PINS: dict = {
     'zeta_em': (((0x95084f83bcd7e9335b9bb14f740a68b3, -128), (0x95084f83bcd7e9335cd7d5d6539fd705, -128)), ((-0xed45f2902536df0b039b18393891a0d9, -128), (-0x3b517ca4094db7c2c097bcec963f0c9f, -126))),
+}
+# fmt: on
+
+
+# fmt: off
+# the l_truncated pin from when its tail bounded every |chi(n)| by 1, before
+# partial summation
+TRIVIAL_TAIL_PINS: dict = {
+    'l_truncated': {
+        'value': (((0x1dbd31aaa21243fffb1b2d47194f8f6f, -125), (0xee0872301091141ea7c1c6a4f14e48bf, -128)), ((0xacf30b8de72d1ea09af737ac2a28cc7, -126), (0xad6e9ef9e728ef1bd698a95cc56fff4d, -130))),
+        'radius': (0xf726d7fff7a0f67742e361368e64afa7, -140),
+    },
 }
 # fmt: on
