@@ -8,15 +8,15 @@ sys.path.insert(0, str(Path(__file__).parent / "src"))
 
 @pytest.fixture
 def tables(monkeypatch):
-    """The N of every NegPowerTable built."""
+    """The N of every neg_power_table built."""
     from zetaval import functions as fn
 
     built = []
-    table = fn.NegPowerTable
+    table = fn.neg_power_table
 
     def counting(N, s, c):
         built.append(N)
         return table(N, s, c)
 
-    monkeypatch.setattr(fn, "NegPowerTable", counting)
+    monkeypatch.setattr(fn, "neg_power_table", counting)
     return built

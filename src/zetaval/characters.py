@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import functions as fn
-from .exact import QuadraticDiscriminant, index_table, is_prime, kronecker, primitive_root
+from .exact import QuadraticDiscriminant, index_table, is_prime, kronecker
 from .errors import DomainError, NotPrime
 from .interval import ComplexBox, PrecisionContext
 
@@ -76,7 +76,7 @@ def make_elementary(p: int, m: int) -> DirichletCharacter:
         raise NotPrime(f"modulus {p} is not an odd prime")
     if not 1 <= m <= p - 1:
         raise DomainError("need 1 <= m <= p-1")
-    nu = index_table(p, primitive_root(p))
+    nu = index_table(p)
     exps = (None,) + tuple((m * nu[n]) % (p - 1) for n in range(1, p))
     return DirichletCharacter(p, p - 1, partial(_table_exponent, exps))
 

@@ -17,8 +17,8 @@ The second is partial summation against D(t) = sum_{n<=t} d(n) <= t (ln t + 1):
 sum_{n>N} d(n) n^-sigma = -D(N) N^-sigma + sigma int_N^oo D(t) t^(-sigma-1) dt,
 with D(N) = 2 sum_{k<=sqrt(N)} floor(N/k) - floor(sqrt(N))^2 exact (Dirichlet's
 hyperbola method).  Both powers of N come from the first bound's one exp and
-log.  The two routes must intersect, and the tests use that as an
-oracle-equivalence check.
+log.  Every omitted term is >= 0, so the box is [sum, sum + radius].  The two
+routes must intersect, and the tests use that as an oracle-equivalence check.
 
 Siegel's formula gives the exact rational
 
@@ -120,13 +120,8 @@ def dedekind_enclosure(
         z = zeta_em(s_box, params.em, ctx)
         chi = make_kronecker(K.D)
         l_val = l_truncated(chi, s_box, params.l_terms, ctx)
-        # at real s both factors are real, so their values lie in the real parts
-        return Enclosure(
-            value=ComplexBox(ctx.mul(z.value.re, l_val.value.re), ctx.zero()),
-            params=params,
-            remainder_radius=rd.ZERO,  # both factor widenings already applied
-            prec=ctx.prec,
-        )
+        # at real s both factors are real and already widened: multiply the real parts
+        return Enclosure.widened(ctx.mul(z.value.re, l_val.value.re), rd.ZERO, params, ctx)
     if mode != "direct":
         raise DomainError(f"unknown mode {mode!r}")
     three_halves = rd.from_fraction(Fraction(3, 2), 64, rd.CEIL)
@@ -134,7 +129,7 @@ def dedekind_enclosure(
         raise DomainError("direct mode needs s > 3/2 for its divisor tail bound")
 
     N = params.direct_terms
-    table = fn.NegPowerTable(N, s_box, ctx)
+    table = fn.neg_power_table(N, s_box, ctx)
     # at real s every n^-s is real, so the sum lies in the real parts
     total = ctx.zero()
     for n in range(1, N + 1):
@@ -158,9 +153,6 @@ def dedekind_enclosure(
     )
     if rd.cmp(abel.hi, radius) < 0:
         radius = abel.hi
-    return Enclosure(
-        value=ComplexBox(ctx.widen(total, radius), ctx.zero()),
-        params=params,
-        remainder_radius=radius,
-        prec=ctx.prec,
-    )
+    # every omitted term r_K(n) n^-s is >= 0, so the value lies above the sum
+    above = RealInterval(total.lo, rd.add(total.hi, radius, ctx.prec, rd.CEIL))
+    return Enclosure(ComplexBox(above, ctx.zero()), params, radius, ctx.prec)

@@ -215,14 +215,7 @@ def l_one_quadratic(D: int, m: int, ctx: PrecisionContext) -> Enclosure:
         ctx.mul(d32, damp),
         ctx.mul(ctx.sq(fn.pi(ctx)), ctx.interval(m**3)),
     )
-    radius = bound.hi
-
-    return Enclosure(
-        value=ComplexBox(ctx.widen(raw, radius), ctx.zero()),
-        params=L1Params(m=m),
-        remainder_radius=radius,
-        prec=ctx.prec,
-    )
+    return Enclosure.widened(raw, bound.hi, L1Params(m=m), ctx)
 
 
 def _power_tail(
@@ -259,7 +252,7 @@ def l_truncated(
         raise DomainError("need N >= 2")
     if rd.cmp(s.re.lo, rd.ONE) <= 0:
         raise DomainError("l_truncated requires Re(s) > 1")
-    table = fn.NegPowerTable(N, s, ctx)
+    table = fn.neg_power_table(N, s, ctx)
     total = ctx.box(0)
     value_cache: dict[int, ComplexBox] = {}
     q = chi.modulus
@@ -285,9 +278,4 @@ def l_truncated(
         )
         if rd.cmp(abel.hi, radius) < 0:
             radius = abel.hi
-    return Enclosure(
-        value=ctx.cwiden(total, radius),
-        params={"N": N, "modulus": q},
-        remainder_radius=radius,
-        prec=ctx.prec,
-    )
+    return Enclosure.widened(total, radius, {"N": N, "modulus": q}, ctx)

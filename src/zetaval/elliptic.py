@@ -44,6 +44,7 @@ from fractions import Fraction
 from . import functions as fn
 from . import kernels
 from . import rounding as rd
+from .dirichlet import _power_tail
 from .errors import DomainError, SingularModel, UncertifiedDivisor
 from .exact import is_prime, primes_up_to
 from .interval import ComplexBox, PrecisionContext, RealInterval, certify_nonzero
@@ -185,12 +186,7 @@ def local_zeta(
         if not certify_nonzero(d).is_certified:
             raise UncertifiedDivisor("local zeta denominator not certified nonzero")
     value = ctx.cdiv(ctx.cdiv(num, den1), den2)
-    return Enclosure(
-        value=value,
-        params={"p": p, "t_p": info.t_p},
-        remainder_radius=rd.ZERO,
-        prec=ctx.prec,
-    )
+    return Enclosure.widened(value, rd.ZERO, {"p": p, "t_p": info.t_p}, ctx)
 
 
 def _prime_tail(
@@ -200,11 +196,9 @@ def _prime_tail(
     and u = n^(1/2-sigma) (module docstring), given the count pi_n of primes
     p <= n; needs sigma > 3/2 and n >= 3."""
     sigma_i = RealInterval(sigma, sigma)
-    a_1 = ctx.sub(sigma_i, ctx.interval(Fraction(3, 2)))
-    log_n = fn.log(ctx.interval(n), ctx)
-    n_pow = fn.exp(ctx.mul(ctx.sub(ctx.interval(Fraction(3, 2)), sigma_i), log_n), ctx)
+    integers, n_pow, log_n = _power_tail(n, Fraction(3, 2), sigma_i, ctx)
     u = ctx.div(n_pow, ctx.interval(n))
-    integers = ctx.div(n_pow, a_1)
+    a_1 = ctx.sub(sigma_i, ctx.interval(Fraction(3, 2)))
     a = ctx.sub(sigma_i, ctx.interval(Fraction(1, 2)))
     primes = ctx.sub(
         ctx.div(ctx.mul(ctx.mul(ctx.interval(_PI_BOUND), a), n_pow), ctx.mul(a_1, log_n)),

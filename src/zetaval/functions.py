@@ -585,7 +585,7 @@ def real_exponent_of(s: ComplexBox | RealInterval, n: int) -> int | None:
     return k
 
 
-# largest NegPowerTable: about 80 MB and a minute to build at 128 bits
+# largest neg_power_table: about 80 MB and a minute to build at 128 bits
 _TABLE_CAP = 10**5
 
 # log(n) enclosures by (n, prec), shared by every neg_power call; cleared past
@@ -612,45 +612,28 @@ def neg_power(n: int, s: ComplexBox, ctx: PrecisionContext) -> ComplexBox:
     return cexp(w, ctx)
 
 
-class NegPowerTable:
-    """Enclosures of n**(-s) for 1 <= n <= limit, built multiplicatively.
+def neg_power_table(limit: int, s: ComplexBox, ctx: PrecisionContext) -> list[ComplexBox | None]:
+    """Enclosures t[n] of n**(-s) for 1 <= n <= limit; t[0] is None.
 
-    Transcendental evaluations happen only at primes; composite entries are
-    interval products along the factorization, which preserves containment.
-    A limit above ``_TABLE_CAP`` raises DomainError before anything is built.
+    A linear sieve (Gries and Misra, CACM 21, 1978) meets each composite
+    n = p*m once, p its smallest prime factor, and sets t[n] = t[p] t[m], so
+    exp and log run only at primes.  A limit above ``_TABLE_CAP`` raises
+    DomainError before anything is built.
     """
-
-    def __init__(self, limit: int, s: ComplexBox, ctx: PrecisionContext):
-        if limit > _TABLE_CAP:
-            raise DomainError(f"table of {limit} powers n**-s exceeds the cap of {_TABLE_CAP}")
-        self.limit = limit
-        self.ctx = ctx
-        spf = _smallest_prime_factors(limit)
-        boxes: list[ComplexBox | None] = [None] * (limit + 1)
-        if limit >= 1:
-            boxes[1] = ctx.box(1)
-        for n in range(2, limit + 1):
-            p = spf[n]
-            if p == n:
-                boxes[n] = neg_power(n, s, ctx)
-            else:
-                boxes[n] = ctx.cmul(boxes[p], boxes[n // p])
-        self._boxes = boxes
-
-    def __getitem__(self, n: int) -> ComplexBox:
-        b = self._boxes[n]
-        if b is None:
-            raise IndexError(n)
-        return b
-
-
-def _smallest_prime_factors(limit: int) -> list[int]:
-    spf = list(range(limit + 1))
-    i = 2
-    while i * i <= limit:
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
-    return spf
+    if limit > _TABLE_CAP:
+        raise DomainError(f"table of {limit} powers n**-s exceeds the cap of {_TABLE_CAP}")
+    boxes: list[ComplexBox | None] = [None] * (limit + 1)
+    if limit >= 1:
+        boxes[1] = ctx.box(1)
+    primes: list[int] = []
+    for m in range(2, limit + 1):
+        if boxes[m] is None:
+            primes.append(m)
+            boxes[m] = neg_power(m, s, ctx)
+        for p in primes:  # the primes p <= the smallest prime factor of m
+            if p * m > limit:
+                break
+            boxes[p * m] = ctx.cmul(boxes[p], boxes[m])
+            if m % p == 0:
+                break
+    return boxes

@@ -65,8 +65,9 @@ class Enclosure:
     error budget.
 
     ``value`` already includes the outward remainder widening by
-    ``remainder_radius``.  ``prec`` is the working precision of the sum, which
-    ``zeta_auto`` chooses itself.
+    ``remainder_radius`` (upward only in direct-mode Dedekind zeta, whose
+    omitted terms are >= 0).  ``prec`` is the working precision of the sum,
+    which ``zeta_auto`` chooses itself.
     """
 
     value: ComplexBox
@@ -74,6 +75,15 @@ class Enclosure:
     remainder_radius: rd.MPF
     prec: int
     meets_target: bool | None = None
+
+    @classmethod
+    def widened(cls, raw: ComplexBox | RealInterval, radius: rd.MPF, params: object,
+                ctx: PrecisionContext) -> "Enclosure":
+        """``raw`` widened outward by ``radius`` at ``ctx.prec``; a real ``raw``
+        gets the imaginary part [0, 0].  Widening by zero is exact."""
+        if isinstance(raw, RealInterval):
+            return cls(ComplexBox(ctx.widen(raw, radius), ctx.zero()), params, radius, ctx.prec)
+        return cls(ctx.cwiden(raw, radius), params, radius, ctx.prec)
 
     def remainder_float(self) -> float:
         return rd.to_float(self.remainder_radius, rd.CEIL)
@@ -141,7 +151,7 @@ def _em_enclosure(
     zero ``radius`` leaves the truncated sum itself, since widening by zero is
     exact."""
     N, k = params.N, params.k
-    table = fn.NegPowerTable(N, s, ctx)
+    table = fn.neg_power_table(N, s, ctx)
     partial = ctx.box(0)
     for n in range(1, N):
         partial = ctx.cadd(partial, table[n])
@@ -152,12 +162,7 @@ def _em_enclosure(
         raise PoleProximity("s - 1 could not be certified nonzero")
     big_s = ctx.cadd(partial, ctx.cdiv(n_pow1, s_minus_1))
     raw = ctx.cadd(big_s, _em_correction(s, N, k, n_pow, ctx))
-    return Enclosure(
-        value=ctx.cwiden(raw, radius),
-        params=params,
-        remainder_radius=radius,
-        prec=ctx.prec,
-    )
+    return Enclosure.widened(raw, radius, params, ctx)
 
 
 def _bernoulli_coef(j: int, ctx: PrecisionContext) -> RealInterval:

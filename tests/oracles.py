@@ -29,7 +29,7 @@ def eta_zeta_oracle(
         |R| <= 2^-depth |s(s+1)...(s+depth-1)|
                * (x0^(-sigma-depth) + x0^(1-sigma-depth)/(sigma+depth-1)).
     """
-    table = fn.NegPowerTable(terms + depth + 1, s, ctx)
+    table = fn.neg_power_table(terms + depth + 1, s, ctx)
     eta = ctx.box(0)
     for n in range(1, terms + 1):
         eta = ctx.cadd(eta, table[n]) if n % 2 == 1 else ctx.csub(eta, table[n])

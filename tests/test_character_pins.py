@@ -173,6 +173,19 @@ def test_partial_summation_boxes_lie_inside_the_trivial_tail_boxes(group):
             assert rd.cmp(old_lo, lo) <= 0 and rd.cmp(hi, old_hi) <= 0, key
 
 
+# TWO_SIDED_TAIL_PINS, at the end of the file, holds the direct-mode boxes from
+# when the partial sum was widened on both sides.  Every omitted term is >= 0,
+# so the new box drops only the lower widening: it lies inside its old box,
+# with the same upper end and the same remainder_radius bits.
+def test_direct_mode_boxes_drop_only_the_lower_widening():
+    new_pins = PINS["dedekind_direct"]
+    assert new_pins.keys() == TWO_SIDED_TAIL_PINS.keys()
+    for key, ((re, im), radius) in new_pins.items():
+        (old_re, old_im), old_radius = TWO_SIDED_TAIL_PINS[key]
+        assert radius == old_radius and im == old_im, key
+        assert re[1] == old_re[1] and rd.cmp(old_re[0], re[0]) < 0, key
+
+
 def _render(v) -> str:
     if isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v):
         return f"({v[0]:#x}, {v[1]})"
@@ -223,10 +236,10 @@ PINS: dict = {
         'D=13@512': (((0x4bcd81b83ece0badfba7f7559cfd7c8c688d3caa305f9a7553f087e3bcdcdccfae52ee91ec273d83a658af6bf515c1472da4bf55b7da92a82081ae1251f88183, -510), (0x97c0d8a940d5e9eebc960cd713d7c79312e8c9470cc8832482c805f3b31b035d82b01bf68bf286e173955468a94827d003152b668b535587afdc11909a6e8a33, -511)), ((0x0, 0), (0x0, 0))),
     },
     'dedekind_direct': {
-        'D=5@2@128': ((((0x8e97071d45eb926120eb1e27ed8aa9a5, -127), (0x9a3f17010ca8e9c2949bf87553634d11, -127)), ((0x0, 0), (0x0, 0))), (0xba80fe3c6bd576173b0da4d65d8a33b3, -132)),
-        'D=5@3.5@128': ((((0x819a056bc379156e901ea214ae58f91f, -127), (0x819a78b8b53730b219387deb74da31b3, -127)), ((0x0, 0), (0x0, 0))), (0x734cf1be1b438919dbd6c681385c123b, -144)),
-        'D=13@2@128': ((((0x2ac52e14c721d7eb1bc9722aef1cec69, -125), (0x5b5e641b71a25b86f16b517c91262a8b, -126)), ((0x0, 0), (0x0, 0))), (0xba80fe3c6bd576173b0da4d65d8a33b3, -132)),
-        'D=13@3.5@128': ((((0x435f87c6d230f8c38e71fe135a2115, -118), (0x435fc16d4b10066552feebfebd61b14d, -126)), ((0x0, 0), (0x0, 0))), (0x734cf1be1b438919dbd6c681385c123b, -144)),
+        'D=5@2@128': ((((0x946b0f0f294a3e11dac38b4ea076fb43, -127), (0x9a3f17010ca8e9c2949bf87553634d11, -127)), ((0x0, 0), (0x0, 0))), (0xba80fe3c6bd576173b0da4d65d8a33b3, -132)),
+        'D=5@3.5@128': ((((0x40cd1f891e2c11882a55c80008cccaa7, -126), (0x819a78b8b53730b219387deb74da31b3, -127)), ((0x0, 0), (0x0, 0))), (0x734cf1be1b438919dbd6c681385c123b, -144)),
+        'D=13@2@128': ((((0x587460227ff305ae947f1ae937b001a1, -126), (0x5b5e641b71a25b86f16b517c91262a8b, -126)), ((0x0, 0), (0x0, 0))), (0xba80fe3c6bd576173b0da4d65d8a33b3, -132)),
+        'D=13@3.5@128': ((((0x86bf49341d40ff28e170ea121782c62f, -127), (0x435fc16d4b10066552feebfebd61b14d, -126)), ((0x0, 0), (0x0, 0))), (0x734cf1be1b438919dbd6c681385c123b, -144)),
     },
     'char_value': {
         'elementary(7,1)(0)@128': (((0x0, 0), (0x0, 0)), ((0x0, 0), (0x0, 0))),
@@ -342,5 +355,14 @@ TRIVIAL_TAIL_PINS: dict = {
         'D=13@2@128': ((((0x119691f42023fee856163ce29e308871, -124), (0x6a8e78747f560fbbd0a54247f69de199, -126)), ((-0x121a1851ff630a0d3c26275ebeeddfdd, -126), (0x121a1851ff630a0d3c26275ebeeddfdd, -126))), (0x121a1851ff630a0d3c26275ebeeddfdd, -126)),
         'D=13@3.5@128': ((((0x435f3bbe82f40e87be228b275b37c2f, -122), (0x43600d759a4cf0a1234e5eeabc4b035d, -126)), ((-0x346dc5d63886594af4f0d844d013a92d, -141), (0x346dc5d63886594af4f0d844d013a92d, -141))), (0x346dc5d63886594af4f0d844d013a92d, -141)),
     },
+}
+
+# direct-mode boxes from when the partial sum was widened by the tail radius on
+# both sides, before it was widened upward only
+TWO_SIDED_TAIL_PINS: dict = {
+    'D=5@2@128': ((((0x8e97071d45eb926120eb1e27ed8aa9a5, -127), (0x9a3f17010ca8e9c2949bf87553634d11, -127)), ((0x0, 0), (0x0, 0))), (0xba80fe3c6bd576173b0da4d65d8a33b3, -132)),
+    'D=5@3.5@128': ((((0x819a056bc379156e901ea214ae58f91f, -127), (0x819a78b8b53730b219387deb74da31b3, -127)), ((0x0, 0), (0x0, 0))), (0x734cf1be1b438919dbd6c681385c123b, -144)),
+    'D=13@2@128': ((((0x2ac52e14c721d7eb1bc9722aef1cec69, -125), (0x5b5e641b71a25b86f16b517c91262a8b, -126)), ((0x0, 0), (0x0, 0))), (0xba80fe3c6bd576173b0da4d65d8a33b3, -132)),
+    'D=13@3.5@128': ((((0x435f87c6d230f8c38e71fe135a2115, -118), (0x435fc16d4b10066552feebfebd61b14d, -126)), ((0x0, 0), (0x0, 0))), (0x734cf1be1b438919dbd6c681385c123b, -144)),
 }
 # fmt: on

@@ -98,19 +98,29 @@ def test_product_and_direct_modes_intersect(delta, s):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([2, 3, 5, 13, 15]), st.integers(1501, 4000), st.integers(2, 400))
-def test_direct_mode_radius_bounds_the_tail(D, sigma_milli, N):
+@given(
+    st.sampled_from([2, 3, 5, 13, 15]),
+    st.integers(1501, 4000),
+    st.integers(2, 400),
+    st.sampled_from([Fraction(0), Fraction(1, 10**13)]),
+)
+def test_direct_mode_radius_bounds_the_tail(D, sigma_milli, N, r):
+    # the box holds zeta_K at every point of s, and the radius bounds the
+    # tail at s.lo, where it is largest; every tail term is >= 0, so the
+    # value lies above the partial sum
     K = RealQuadraticField.of(D)
     sigma = Fraction(sigma_milli, 1000)
-    enc = dedekind_enclosure(K, ctx.interval(sigma), "direct", DedekindParams(direct_terms=N), ctx)
+    s_box = ctx.interval(sigma - r, sigma + r)
+    enc = dedekind_enclosure(K, s_box, "direct", DedekindParams(direct_terms=N), ctx)
     delta = K.discriminant.delta
     with mpmath.workprec(3 * ctx.prec):
-        s = mpmath.mpf(sigma_milli) / 1000
+        lo, hi = (mpmath.ldexp(*end) for end in (enc.value.re.lo, enc.value.re.hi))
         chi = [kronecker(delta, n) if n else 0 for n in range(delta)]
-        head = mpmath.fsum(ideal_count(K, n) * mpmath.power(n, -s) for n in range(1, N + 1))
-        tail = mpmath.zeta(s) * mpmath.dirichlet(s, chi) - head
-        man, exp = enc.remainder_radius
-        assert tail <= mpmath.ldexp(man, exp), (D, sigma, N)
+        points = [mpmath.ldexp(*s_box.lo), mpmath.mpf(sigma_milli) / 1000, mpmath.ldexp(*s_box.hi)]
+        values = [mpmath.zeta(s) * mpmath.dirichlet(s, chi) for s in points]
+        assert all(lo <= v <= hi for v in values), (D, sigma, N, r)
+        head = mpmath.fsum(ideal_count(K, n) * mpmath.power(n, -points[0]) for n in range(1, N + 1))
+        assert values[0] - head <= mpmath.ldexp(*enc.remainder_radius), (D, sigma, N, r)
 
 
 def test_product_mode_width_at_s3():

@@ -178,13 +178,40 @@ def test_neg_power_complex():
 
 def test_neg_power_table_matches_direct():
     s = ComplexBox(ctx.interval(Fraction(3, 2)), ctx.interval(1))
-    table = fn.NegPowerTable(40, s, ctx)
+    table = fn.neg_power_table(40, s, ctx)
     for n in (2, 6, 35, 36, 40):
         direct = fn.neg_power(n, s, ctx)
         assert table[n].intersects(direct)
         want = mpmath.power(n, mpmath.mpc(-1.5, -1))
         assert _mp_in(table[n].re, want.real)
         assert _mp_in(table[n].im, want.imag)
+
+
+def _box_ends(b: ComplexBox):
+    return ((b.re.lo, b.re.hi), (b.im.lo, b.im.hi))
+
+
+@pytest.mark.parametrize("limit", [2, 3, 210])
+def test_neg_power_table_builds_composites_from_their_smallest_prime_factor(limit, monkeypatch):
+    # a complex box s, so that each product rounds and another split of n
+    # would give other endpoints
+    s = ComplexBox(
+        ctx.interval(Fraction(3, 2), Fraction(3, 2) + Fraction(1, 10**9)),
+        ctx.interval(1, Fraction(1001, 1000)),
+    )
+    products = []
+    cmul = PrecisionContext.cmul
+    monkeypatch.setattr(PrecisionContext, "cmul", lambda c, a, b: products.append(1) or cmul(c, a, b))
+    t = fn.neg_power_table(limit, s, ctx)
+    monkeypatch.undo()
+    assert len(t) == limit + 1
+    assert t[1] == ctx.box(1)
+    spf = {n: next(d for d in range(2, n + 1) if n % d == 0) for n in range(2, limit + 1)}
+    for n, p in spf.items():
+        want = fn.neg_power(n, s, ctx) if p == n else ctx.cmul(t[p], t[n // p])
+        assert _box_ends(t[n]) == _box_ends(want), n
+    # one product per composite, and none at a prime
+    assert len(products) == sum(p != n for n, p in spf.items())
 
 
 def test_atan_large_argument_uses_reflection():

@@ -15,6 +15,7 @@ from zetaval.errors import DomainError, PoleProximity
 from zetaval.interval import CertifiedSign, ComplexBox, PrecisionContext, certify_nonzero
 from zetaval.zeta import (
     EMParams,
+    Enclosure,
     _em_enclosure,
     functional_eq_check,
     moduli_volume,
@@ -192,11 +193,30 @@ def test_wide_argument_box_covers_pointwise_values():
         assert enc.value.re.contains(mid)
 
 
+def test_enclosure_widened_widens_outward_at_the_context_precision():
+    wide = PrecisionContext(200)
+    real = wide.interval(Fraction(1, 3))
+    box = ComplexBox(real, wide.interval(Fraction(-2, 7)))
+    radius = rd.from_fraction(Fraction(1, 10**20), 64, rd.CEIL)
+    enc = Enclosure.widened(real, radius, "params", wide)
+    assert enc.value.im.lo == rd.ZERO and enc.value.im.hi == rd.ZERO
+    assert enc.value.re.lo == rd.sub(real.lo, radius, 200, rd.FLOOR)
+    assert enc.value.re.hi == rd.add(real.hi, radius, 200, rd.CEIL)
+    assert (enc.params, enc.remainder_radius, enc.prec) == ("params", radius, 200)
+    enc = Enclosure.widened(box, radius, None, wide)
+    assert enc.value.im.lo == rd.sub(box.im.lo, radius, 200, rd.FLOOR)
+    assert enc.value.im.hi == rd.add(box.im.hi, radius, 200, rd.CEIL)
+    # widening by zero at the working precision keeps every bit
+    assert Enclosure.widened(real, rd.ZERO, None, wide).value == ComplexBox(real, wide.zero())
+    enc = Enclosure.widened(box, rd.ZERO, None, wide)
+    assert enc.value == box and enc.prec == 200
+
+
 def test_chunked_partial_sum_still_contains():
     # interval addition is containment-associative: summing n^-s in chunks
     # must still enclose the same value
     s = _sbox(2)
-    table = fn.NegPowerTable(32, s, ctx)
+    table = fn.neg_power_table(32, s, ctx)
     left = ctx.box(0)
     for n in range(1, 17):
         left = ctx.cadd(left, table[n])
@@ -229,7 +249,7 @@ def test_table_cap_refused_before_allocation():
     with pytest.raises(DomainError, match="cap"):
         zeta_em(_sbox(2), EMParams(10**8, 2), ctx)
     with pytest.raises(DomainError, match="cap"):
-        fn.NegPowerTable(fn._TABLE_CAP + 1, _sbox(2), ctx)
+        fn.neg_power_table(fn._TABLE_CAP + 1, _sbox(2), ctx)
     assert time.monotonic() - t0 < 1
 
 
