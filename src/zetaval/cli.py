@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -38,49 +37,13 @@ class UsageError(Exception):
     pass
 
 
+# a subcommand's output payload (params, value, remainder, certified) and text-only note
+_Fields = tuple[dict, str | None]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
-
-
-@dataclass
-class OutputRecord:
-    cmd: str
-    params: dict
-    value: dict
-    remainder: str
-    ms: int
-    certified: bool = True
-    note: str | None = None
-
-    def to_json(self) -> str:
-        payload = {
-            "cmd": self.cmd,
-            "params": self.params,
-            "value": self.value,
-            "remainder": self.remainder,
-            "certified": self.certified,
-            "ms": self.ms,
-        }
-        return json.dumps(payload, separators=(",", ":"), sort_keys=False)
-
-    def to_text(self) -> str:
-        lines = [f"cmd: {self.cmd}"]
-        if self.params:
-            lines.append("params: " + ", ".join(f"{k}={v}" for k, v in self.params.items()))
-        if "rational" in self.value:
-            lines.append(f"value = {self.value['rational']}")
-        else:
-            re = self.value["re"]
-            im = self.value["im"]
-            lines.append(f"re in [{re['lo']}, {re['hi']}]")
-            lines.append(f"im in [{im['lo']}, {im['hi']}]")
-        if self.note:
-            lines.append(self.note)
-        lines.append(f"remainder <= {self.remainder}")
-        lines.append(f"certified: {str(self.certified).lower()}")
-        lines.append(f"elapsed: {self.ms} ms")
-        return "\n".join(lines)
 
 
 # the largest decimal exponent accepted in a number: past it, exp's underflow
@@ -181,8 +144,9 @@ def _build_parser() -> _Parser:
 
 
 def _record(params: dict, result: Enclosure | Fraction, digits: int = 0,
-            note: str | None = None, certified: bool = True) -> OutputRecord:
-    """The output of a subcommand, exact or a box; ``main`` fills in ``cmd`` and ``ms``."""
+            note: str | None = None, certified: bool = True) -> _Fields:
+    """The payload of a subcommand's output, exact or a box, and the note that
+    only text mode prints; ``main`` adds ``cmd`` and ``ms`` around the payload."""
     if isinstance(result, Fraction):
         value, remainder = {"rational": str(result)}, "0"
     else:
@@ -191,10 +155,27 @@ def _record(params: dict, result: Enclosure | Fraction, digits: int = 0,
         value = {part: dict(zip(("lo", "hi"), iv.to_decimal(digits)))
                  for part, iv in (("re", box.re), ("im", box.im))}
         remainder = "0" if radius == rd.ZERO else rd.to_decimal(radius, 3, rd.CEIL)
-    return OutputRecord("", params, value, remainder, 0, certified, note)
+    return {"params": params, "value": value, "remainder": remainder, "certified": certified}, note
 
 
-def _run_zeta(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
+def _text(out: dict, note: str | None) -> str:
+    lines = [f"cmd: {out['cmd']}"]
+    if out["params"]:
+        lines.append("params: " + ", ".join(f"{k}={v}" for k, v in out["params"].items()))
+    value = out["value"]
+    if "rational" in value:
+        lines.append(f"value = {value['rational']}")
+    else:
+        lines += [f"{part} in [{value[part]['lo']}, {value[part]['hi']}]" for part in ("re", "im")]
+    if note:
+        lines.append(note)
+    lines.append(f"remainder <= {out['remainder']}")
+    lines.append(f"certified: {str(out['certified']).lower()}")
+    lines.append(f"elapsed: {out['ms']} ms")
+    return "\n".join(lines)
+
+
+def _run_zeta(args, ctx: PrecisionContext, digits: int) -> _Fields:
     s = ComplexBox(ctx.interval(_parse_exact(args.re)), ctx.interval(_parse_exact(args.im)))
     if args.width is None:
         chosen = {key: v for key, v in (("N", args.N), ("k", args.k)) if v is not None}
@@ -211,7 +192,7 @@ def _run_zeta(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
     return _record(params, enc, _digits_within(enc.value, target, digits))
 
 
-def _run_zeta_special(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
+def _run_zeta_special(args, ctx: PrecisionContext, digits: int) -> _Fields:
     if args.neg is not None:
         return _record({"neg": args.neg}, zeta_neg(args.neg))
     ze = zeta_even(args.even)
@@ -220,7 +201,7 @@ def _run_zeta_special(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
     return _record({"even": args.even, "precision": ctx.prec}, ze.coefficient, note=note)
 
 
-def _run_elliptic(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
+def _run_elliptic(args, ctx: PrecisionContext, digits: int) -> _Fields:
     try:
         parts = [int(c) for c in args.coeffs.split(",")]
     except ValueError as exc:
@@ -252,7 +233,7 @@ def _run_elliptic(args, ctx: PrecisionContext, digits: int) -> OutputRecord:
     return _record(params, enc, digits)
 
 
-def _dispatch(args, ctx: PrecisionContext) -> OutputRecord:
+def _dispatch(args, ctx: PrecisionContext) -> _Fields:
     digits = _digits_for(ctx.prec)
     if args.command == "zeta":
         return _run_zeta(args, ctx, digits)
@@ -283,28 +264,19 @@ def _dispatch(args, ctx: PrecisionContext) -> OutputRecord:
         return _record({"p": args.p}, hilbert_volume(args.p))
     if args.command == "moduli-volume":
         return _record({"g": args.g}, moduli_volume(args.g, ctx)[0])
-    if args.command == "elliptic":
-        return _run_elliptic(args, ctx, digits)
-    raise UsageError(f"unknown command {args.command!r}")
+    return _run_elliptic(args, ctx, digits)  # argparse admits no other command
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 64
-    try:
+        args = _build_parser().parse_args(argv)
         if args.precision > _PRECISION_CAP:
-            raise ValueError(f"--precision {args.precision} exceeds the cap of {_PRECISION_CAP} bits")
+            raise UsageError(f"--precision {args.precision} exceeds the cap of {_PRECISION_CAP} bits")
+        if args.precision < 53:  # PrecisionContext's floor, refused here as a usage error
+            raise UsageError("prec must be >= 53 bits")
         ctx = PrecisionContext(args.precision)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 64
-    t0 = time.monotonic()
-    try:
-        record = _dispatch(args, ctx)
+        t0 = time.monotonic()
+        fields, note = _dispatch(args, ctx)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
@@ -314,8 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, NotPrime, SingularModel, DivisionByZeroInterval) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    record.cmd, record.ms = args.command, int((time.monotonic() - t0) * 1000)
-    print(record.to_json() if args.json else record.to_text())
+    out = {"cmd": args.command, **fields, "ms": int((time.monotonic() - t0) * 1000)}
+    print(json.dumps(out, separators=(",", ":")) if args.json else _text(out, note))
     return 0
 
 

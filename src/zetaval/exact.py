@@ -1,11 +1,12 @@
 """Exact integer and rational number theory used throughout the package.
 
 Bernoulli numbers follow the even-numeration convention (B1 = -1/2) and are
-produced from integer tangent numbers, memoized; indices past
-``_BERNOULLI_CAP`` are refused.  Primality and squarefreeness are
-deterministic trial division, which keeps the "validated" claim free of
-probabilistic steps; the quadratic discriminant constructors refuse D past
-``_SQUAREFREE_CAP`` so that the test stays well under a second.
+produced from integer tangent numbers into a cache that each refill builds
+aside and publishes whole; indices past ``_BERNOULLI_CAP`` are refused.
+Primality and squarefreeness both read one trial-division factorization,
+which keeps the "validated" claim free of probabilistic steps; the quadratic
+discriminant constructors refuse D past ``_SQUAREFREE_CAP`` so that the test
+stays well under a second.
 """
 
 from __future__ import annotations
@@ -34,19 +35,22 @@ def bernoulli(k: int) -> Fraction:
         raise DomainError("bernoulli index must be >= 0")
     if k > _BERNOULLI_CAP:
         raise DomainError(f"bernoulli index {k} exceeds the cap of {_BERNOULLI_CAP}")
-    if k >= len(_bernoulli_cache):
+    cache = _bernoulli_cache  # read once: a refill in another thread rebinds it
+    if k >= len(cache):
         # at least double the cache, so ascending requests refill it O(log k) times
-        _fill_bernoulli(min(_BERNOULLI_CAP, max(k, 2 * len(_bernoulli_cache))))
-    return _bernoulli_cache[k]
+        cache = _fill_bernoulli(min(_BERNOULLI_CAP, max(k, 2 * len(cache))))
+    return cache[k]
 
 
-def _fill_bernoulli(m: int) -> None:
-    """Refill the cache through B_m from the tangent numbers T_1, ..., T_{m//2}.
+def _fill_bernoulli(m: int) -> list[Fraction]:
+    """Build the cache through B_m from the tangent numbers T_1, ..., T_{m//2},
+    then publish it whole, by one rebinding, and return it.
 
     The T_j (1, 2, 16, 272, ...) come from the integer recurrence of Brent and
     Harvey (Brent & Zimmermann, Modern Computer Arithmetic, section 4.7.2), and
     B_2j = (-1)**(j-1) 2j T_j / (4**j (4**j - 1)); odd indices past 1 are 0.
     """
+    global _bernoulli_cache
     n = m // 2
     t = [0, 1] + [0] * (n - 1)  # t[j] = T_j
     for j in range(2, n + 1):
@@ -54,11 +58,13 @@ def _fill_bernoulli(m: int) -> None:
     for i in range(2, n + 1):
         for j in range(i, n + 1):
             t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
-    del _bernoulli_cache[2:]
+    cache = [Fraction(1), Fraction(-1, 2)]
     for j in range(1, n + 1):
         q = 4**j
         b = Fraction(2 * j * t[j], q * (q - 1))
-        _bernoulli_cache.extend((b if j % 2 else -b, Fraction(0)))
+        cache.extend((b if j % 2 else -b, Fraction(0)))
+    _bernoulli_cache = cache
+    return cache
 
 
 def _divisors(n: int) -> Iterator[int]:
@@ -116,18 +122,7 @@ def kronecker(delta: int, n: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _factor_trial(n) == [n]
 
 
 def is_squarefree(n: int) -> bool:
@@ -155,11 +150,9 @@ class QuadraticDiscriminant:
         D = delta if delta % 4 == 1 else delta // 4
         if D > _SQUAREFREE_CAP:
             raise DomainError(f"discriminant {delta} exceeds the cap: D = {D} > {_SQUAREFREE_CAP}")
-        if delta % 4 == 1 and delta > 1 and is_squarefree(delta):
-            return cls(D=delta, delta=delta)
-        if delta % 4 == 0:
-            if D >= 2 and D % 4 in (2, 3) and is_squarefree(D):
-                return cls(D=D, delta=delta)
+        # delta is fundamental when from_squarefree's rule gives it back from D
+        if D >= 2 and (D if D % 4 == 1 else 4 * D) == delta and is_squarefree(D):
+            return cls(D=D, delta=delta)
         raise DomainError(f"{delta} is not a positive fundamental discriminant")
 
 

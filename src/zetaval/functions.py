@@ -561,13 +561,6 @@ def cexp(z: ComplexBox, ctx: PrecisionContext) -> ComplexBox:
     return ComplexBox(ctx.mul(mag, c), ctx.mul(mag, s))
 
 
-def exact_point_int(x: RealInterval) -> int | None:
-    """The integer a point interval represents exactly, else None."""
-    if not x.is_point():
-        return None
-    return rd.exact_int(x.lo)
-
-
 _EXACT_POWER_BITS = 4096
 
 
@@ -579,7 +572,7 @@ def real_exponent_of(s: ComplexBox | RealInterval, n: int) -> int | None:
         if not (s.im.is_point() and s.im.lo == rd.ZERO):
             return None
         s = s.re
-    k = exact_point_int(s)
+    k = rd.exact_int(s.lo) if s.is_point() else None
     if k is None or k < 0 or k * n.bit_length() > _EXACT_POWER_BITS:
         return None
     return k

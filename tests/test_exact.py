@@ -1,6 +1,8 @@
 """Exact number theory: Bernoulli numbers, divisor sums, symbols, primes."""
 
 import math
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -67,6 +69,32 @@ def test_bernoulli_1000_fills_cold_within_a_second(monkeypatch):
     primes = [p for p in range(2, 1002) if is_prime(p) and 1000 % (p - 1) == 0]
     assert b.denominator == math.prod(primes)
     assert b < 0  # B_2k has sign (-1)**(k+1)
+
+
+def test_bernoulli_is_right_under_concurrent_cold_fills(monkeypatch):
+    serial = [bernoulli(k) for k in range(1001)]
+    got: list[list[tuple[int, Fraction]]] = [[] for _ in range(4)]
+
+    def ask(t):  # ascending indices, so each thread refills a cache others read
+        got[t].extend((k, bernoulli(k)) for k in range(t, 1001, 50))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(exact, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2)])
+            for out in got:
+                out.clear()
+            threads = [threading.Thread(target=ask, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            for t, out in enumerate(got):
+                assert out == [(k, serial[k]) for k in range(t, 1001, 50)]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_bernoulli_odd_vanishes_and_even_alternates():
@@ -153,6 +181,8 @@ def test_is_prime_brute():
 
     for n in range(0, 500):
         assert is_prime(n) == brute(n)
+    assert is_prime(2**31 - 1) and is_prime(999_999_999_989)
+    assert not is_prime(999_983**2) and not is_prime(-7)
 
 
 def test_squarefree():
@@ -183,6 +213,22 @@ def test_quadratic_discriminant_cases():
     assert QuadraticDiscriminant.from_discriminant(13).D == 13
     with pytest.raises(DomainError):
         QuadraticDiscriminant.from_discriminant(7)
+
+
+def test_from_discriminant_accepts_exactly_the_positive_fundamental_discriminants():
+    def squarefree(m):
+        return m >= 1 and all(m % (d * d) for d in range(2, math.isqrt(m) + 1))
+
+    for delta in range(-20, 3001):
+        if delta % 4 == 1 and delta > 1 and squarefree(delta):
+            D = delta
+        elif delta % 4 == 0 and (delta // 4) % 4 in (2, 3) and squarefree(delta // 4):
+            D = delta // 4
+        else:
+            with pytest.raises(DomainError):
+                QuadraticDiscriminant.from_discriminant(delta)
+            continue
+        assert QuadraticDiscriminant.from_discriminant(delta) == QuadraticDiscriminant(D, delta)
 
 
 def test_bernoulli_rejects_negative():
